@@ -8,7 +8,9 @@
 //! the committed baseline the docs quote.
 
 use criterion::{black_box, Criterion};
-use dles_sim::{Ctx, Engine, FieldValue, JsonlRecorder, Recorder, SimTime, TraceRecord, World};
+use dles_sim::{
+    trace, Ctx, Engine, FieldValue, JsonlRecorder, Recorder, SimTime, TraceRecord, World,
+};
 use std::io::{self, Write as _};
 
 /// Records rendered per bench iteration.
@@ -16,25 +18,37 @@ const RECORDS_PER_ITER: usize = 1_000;
 /// Events dispatched per bench iteration.
 const EVENTS_PER_ITER: u64 = 20_000;
 
-/// A varied batch shaped like real EXP-2C traffic: state transitions,
-/// frame completions, and battery samples with mixed field types.
+/// A varied batch shaped like real EXP-2C traffic, built from the
+/// declared trace kinds: state transitions, frame completions and power
+/// segments with mixed field types.
 fn sample_records() -> Vec<TraceRecord> {
+    let nodes = ["node1", "node2", "node3", "node4"];
     (0..RECORDS_PER_ITER)
         .map(|i| {
             let t = SimTime::from_micros(i as u64 * 1_731);
+            let node = nodes[i % nodes.len()];
             match i % 3 {
-                0 => TraceRecord::new(t, format!("node{}", i % 4), "state_transition")
-                    .with("from", "Idle")
-                    .with("to", "Computation")
-                    .with("freq_mhz", 206.4),
-                1 => TraceRecord::new(t, "host", "frame_complete")
-                    .with("frame", i as u64)
-                    .with("latency_us", 1_876_000u64)
-                    .with("on_time", i % 2 == 0),
-                _ => TraceRecord::new(t, format!("node{}", i % 4), "battery_sample")
-                    .with("available_mah", 283.1 - i as f64 * 0.01)
-                    .with("bound_mah", 56.9)
-                    .with("soc", 0.93),
+                0 => trace::StateTransition {
+                    mode: "computation",
+                    freq_mhz: 206.4,
+                    share: None,
+                    frame: None,
+                }
+                .into_record(t, node),
+                1 => trace::FrameComplete {
+                    frame: i as u64,
+                    latency_s: 1.876,
+                    deadline_missed: i % 2 == 0,
+                }
+                .into_record(t, "host"),
+                _ => trace::PowerSegment {
+                    mode: "idle",
+                    freq_mhz: 59.0,
+                    duration_us: 1_731,
+                    current_ma: 283.1 - i as f64 * 0.01,
+                    energy_mj: 0.93,
+                }
+                .into_record(t, node),
             }
         })
         .collect()

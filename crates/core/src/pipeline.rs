@@ -24,7 +24,7 @@ use crate::rotation::RotationConfig;
 use crate::workload::{NodeShare, SystemConfig};
 use dles_net::{Endpoint, LinkSchedule, Transaction};
 use dles_power::{CurrentModel, FreqLevel, Mode};
-use dles_sim::{Ctx, Engine, Recorder, RunOutcome, SimRng, SimTime, TraceRecord, World};
+use dles_sim::{trace, Ctx, Engine, Recorder, RunOutcome, SimRng, SimTime, World};
 
 /// Tolerance added to the per-frame deadline before counting a miss
 /// (absorbs sub-millisecond rounding in transfer times).
@@ -117,27 +117,6 @@ impl PipelineConfig {
 enum TransferKind {
     Data,
     Ack,
-}
-
-/// Trace-component tag for a node (1-based, matching the paper's figures).
-fn component_of(node: usize) -> String {
-    format!("node{}", node + 1)
-}
-
-/// Trace label for either endpoint kind.
-fn endpoint_name(ep: Endpoint) -> String {
-    match ep {
-        Endpoint::Host => "host".to_string(),
-        Endpoint::Node(i) => component_of(i),
-    }
-}
-
-/// The single constructor for `fault_injected` trace records. Link faults
-/// and brownouts describe themselves with disjoint field sets, so each
-/// caller chains its own `.with` fields onto this shared base — one emit
-/// site, every fault field optional in the extracted schema.
-fn fault_record(time: SimTime, component: impl Into<String>) -> TraceRecord {
-    TraceRecord::new(time, component, "fault_injected")
 }
 
 /// Whether an injected fault destroys the transfer's payload in flight.
@@ -235,6 +214,9 @@ struct OutstandingSend {
 pub struct PipelineWorld {
     cfg: PipelineConfig,
     nodes: Vec<SimNode>,
+    /// Per-node trace component tag (`node1`, … — 1-based, matching the
+    /// paper's figures), built once so transitions never format one.
+    names: Vec<String>,
     /// stage/share index → node index.
     node_of_share: Vec<usize>,
     /// node index → its current stage (None once its share migrated away).
@@ -326,6 +308,7 @@ impl PipelineWorld {
         let faults = cfg.faults.as_ref().map(|plan| FaultState::new(plan, n));
         PipelineWorld {
             nodes,
+            names: (1..=n).map(|i| format!("node{i}")).collect(),
             node_of_share: (0..n).collect(),
             share_of_node: (0..n).map(Some).collect(),
             links: LinkSchedule::new(n),
@@ -354,6 +337,14 @@ impl PipelineWorld {
             stopped_at: None,
             counters: dles_sim::CounterSet::new(),
             cfg,
+        }
+    }
+
+    /// Trace label for either endpoint kind.
+    fn endpoint_name(&self, ep: Endpoint) -> &str {
+        match ep {
+            Endpoint::Host => "host",
+            Endpoint::Node(i) => &self.names[i],
         }
     }
 
@@ -455,12 +446,15 @@ impl PipelineWorld {
         let policy = self.policy_for(node);
         let level = policy.level_for(mode, base, &self.cfg.sys.dvs);
         self.counters.incr("state_transitions");
-        let component = component_of(node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "state_transition")
-                    .with("mode", mode.name())
-                    .with("freq_mhz", level.freq_mhz.mhz()),
+                trace::StateTransition {
+                    mode: mode.name(),
+                    freq_mhz: level.freq_mhz.mhz(),
+                    share: None,
+                    frame: None,
+                }
+                .into_record(ctx.now(), &self.names[node]),
             );
         }
         let ttd = self.nodes[node].transition_recorded(
@@ -468,7 +462,7 @@ impl PipelineWorld {
             mode,
             level,
             ctx.recorder(),
-            &component,
+            &self.names[node],
         );
         if let Some(ev) = self.death_events[node].take() {
             ctx.cancel(ev);
@@ -508,21 +502,26 @@ impl PipelineWorld {
                 }
                 if let Some(fault) = t.fault {
                     if ctx.tracing() {
-                        let mut rec = fault_record(ctx.now(), "link")
-                            .with("from", endpoint_name(t.from))
-                            .with("to", endpoint_name(t.to))
-                            .with("frame", t.frame)
-                            .with("bytes", t.bytes);
-                        rec = match fault {
-                            LinkFault::Dropped => rec.with("fault", "drop"),
-                            LinkFault::Corrupted { flipped_bits } => rec
-                                .with("fault", "bit_error")
-                                .with("flipped_bits", flipped_bits as u64),
-                            LinkFault::Delayed(extra) => rec
-                                .with("fault", "delay")
-                                .with("delay_us", extra.as_micros()),
+                        let (name, flipped_bits, delay_us) = match fault {
+                            LinkFault::Dropped => ("drop", None, None),
+                            LinkFault::Corrupted { flipped_bits } => {
+                                ("bit_error", Some(flipped_bits as u64), None)
+                            }
+                            LinkFault::Delayed(extra) => ("delay", None, Some(extra.as_micros())),
                         };
-                        ctx.emit(rec);
+                        ctx.emit(
+                            trace::FaultInjected {
+                                from: Some(self.endpoint_name(t.from)),
+                                to: Some(self.endpoint_name(t.to)),
+                                frame: Some(t.frame),
+                                bytes: Some(t.bytes),
+                                fault: name,
+                                flipped_bits,
+                                delay_us,
+                                duration_us: None,
+                            }
+                            .into_record(ctx.now(), "link"),
+                        );
                     }
                 }
             }
@@ -561,14 +560,15 @@ impl PipelineWorld {
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
         self.counters.incr("state_transitions");
-        let component = component_of(node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "state_transition")
-                    .with("mode", Mode::Computation.name())
-                    .with("freq_mhz", level.freq_mhz.mhz())
-                    .with("share", share)
-                    .with("frame", frame),
+                trace::StateTransition {
+                    mode: Mode::Computation.name(),
+                    freq_mhz: level.freq_mhz.mhz(),
+                    share: Some(share as u64),
+                    frame: Some(frame),
+                }
+                .into_record(ctx.now(), &self.names[node]),
             );
         }
         // PROC always runs at the share's level regardless of policy.
@@ -577,7 +577,7 @@ impl PipelineWorld {
             Mode::Computation,
             level,
             ctx.recorder(),
-            &component,
+            &self.names[node],
         );
         if let Some(ev) = self.death_events[node].take() {
             ctx.cancel(ev);
@@ -704,15 +704,17 @@ impl PipelineWorld {
         }
         self.counters.incr("policy_decisions");
         if ctx.tracing() {
-            let mut rec = TraceRecord::new(ctx.now(), "pipeline", "policy_decision")
-                .with("policy", self.cfg.scheduling.name())
-                .with("frame", frame)
-                .with("skew_soc", skew.get())
-                .with("action", action);
-            if matches!(self.cfg.scheduling, SchedulingPolicy::AdaptivePeriod { .. }) {
-                rec = rec.with("next_period_frames", self.adaptive_period);
-            }
-            ctx.emit(rec);
+            let adaptive = matches!(self.cfg.scheduling, SchedulingPolicy::AdaptivePeriod { .. });
+            ctx.emit(
+                trace::PolicyDecision {
+                    policy: self.cfg.scheduling.name(),
+                    frame,
+                    skew_soc: skew.get(),
+                    action,
+                    next_period_frames: adaptive.then_some(self.adaptive_period),
+                }
+                .into_record(ctx.now(), "pipeline"),
+            );
         }
     }
 
@@ -775,10 +777,12 @@ impl PipelineWorld {
         self.counters.incr("migrations");
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component_of(survivor), "migration")
-                    .with("dead", component_of(dead))
-                    .with("merged_freq_mhz", level.freq_mhz.mhz())
-                    .with("feasible", feasible.is_some()),
+                trace::Migration {
+                    dead: &self.names[dead],
+                    merged_freq_mhz: level.freq_mhz.mhz(),
+                    feasible: feasible.is_some(),
+                }
+                .into_record(ctx.now(), &self.names[survivor]),
             );
         }
         // The survivor's pending sends targeted the old share map; any
@@ -911,9 +915,11 @@ impl PipelineWorld {
                 self.on_policy_rotation(ctx, frame);
                 if ctx.tracing() {
                     ctx.emit(
-                        TraceRecord::new(ctx.now(), "pipeline", "rotation")
-                            .with("frame", frame)
-                            .with("rotations", self.rotations),
+                        trace::Rotation {
+                            frame,
+                            rotations: self.rotations,
+                        }
+                        .into_record(ctx.now(), "pipeline"),
                     );
                 }
             }
@@ -959,16 +965,15 @@ impl PipelineWorld {
                 if ctx.tracing() {
                     let kind = self.transfers[id].kind;
                     ctx.emit(
-                        TraceRecord::new(ctx.now(), component_of(i), "io")
-                            .with("dir", if ep == from { "send" } else { "recv" })
-                            .with(
-                                "payload",
-                                match kind {
-                                    TransferKind::Data => "data",
-                                    TransferKind::Ack => "ack",
-                                },
-                            )
-                            .with("frame", frame),
+                        trace::Io {
+                            dir: if ep == from { "send" } else { "recv" },
+                            payload: match kind {
+                                TransferKind::Data => "data",
+                                TransferKind::Ack => "ack",
+                            },
+                            frame,
+                        }
+                        .into_record(ctx.now(), &self.names[i]),
                     );
                 }
             }
@@ -1041,10 +1046,12 @@ impl PipelineWorld {
                     }
                     if ctx.tracing() {
                         ctx.emit(
-                            TraceRecord::new(ctx.now(), "host", "frame_complete")
-                                .with("frame", t.frame)
-                                .with("latency_s", latency_s)
-                                .with("deadline_missed", missed),
+                            trace::FrameComplete {
+                                frame: t.frame,
+                                latency_s,
+                                deadline_missed: missed,
+                            }
+                            .into_record(ctx.now(), "host"),
                         );
                     }
                     if self.cfg.recovery.is_some() {
@@ -1223,13 +1230,15 @@ impl PipelineWorld {
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
         self.counters.incr("state_transitions");
-        let component = component_of(node);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "state_transition")
-                    .with("mode", Mode::Computation.name())
-                    .with("freq_mhz", level.freq_mhz.mhz())
-                    .with("share", share),
+                trace::StateTransition {
+                    mode: Mode::Computation.name(),
+                    freq_mhz: level.freq_mhz.mhz(),
+                    share: Some(share as u64),
+                    frame: None,
+                }
+                .into_record(ctx.now(), &self.names[node]),
             );
         }
         let ttd = self.nodes[node].transition_recorded(
@@ -1237,7 +1246,7 @@ impl PipelineWorld {
             Mode::Computation,
             level,
             ctx.recorder(),
-            &component,
+            &self.names[node],
         );
         if let Some(ev) = self.death_events[node].take() {
             ctx.cancel(ev);
@@ -1253,16 +1262,14 @@ impl PipelineWorld {
             return;
         }
         self.counters.incr("node_deaths");
-        let component = component_of(node);
-        self.nodes[node].die_recorded(ctx.now(), ctx.recorder(), &component);
+        self.nodes[node].die_recorded(ctx.now(), ctx.recorder(), &self.names[node]);
         if ctx.tracing() {
             ctx.emit(
-                TraceRecord::new(ctx.now(), component.as_str(), "node_death")
-                    .with(
-                        "delivered_mah",
-                        self.nodes[node].battery.delivered_mah().get(),
-                    )
-                    .with("stranded_mah", self.nodes[node].stranded_mah().get()),
+                trace::NodeDeath {
+                    delivered_mah: self.nodes[node].battery.delivered_mah().get(),
+                    stranded_mah: self.nodes[node].stranded_mah().get(),
+                }
+                .into_record(ctx.now(), &self.names[node]),
             );
         }
         self.death_events[node] = None;
@@ -1301,10 +1308,13 @@ impl PipelineWorld {
         }
         self.counters.incr("ack_timeouts");
         if ctx.tracing() {
+            let ack = Transaction::ack(entry.to, Endpoint::Node(node));
             ctx.emit(
-                Transaction::ack(entry.to, Endpoint::Node(node))
-                    .trace_record(ctx.now(), "timeout", entry.frame)
-                    .with("waiter", component_of(node)),
+                trace::Transaction {
+                    waiter: Some(&self.names[node]),
+                    ..ack.trace_fields("timeout", entry.frame)
+                }
+                .into_record(ctx.now(), ack.component()),
             );
         }
         if self.is_offline(ctx.now(), node) {
@@ -1361,9 +1371,17 @@ impl PipelineWorld {
             }
             if ctx.tracing() {
                 ctx.emit(
-                    fault_record(ctx.now(), component_of(node))
-                        .with("fault", "brownout")
-                        .with("duration_us", duration.as_micros()),
+                    trace::FaultInjected {
+                        from: None,
+                        to: None,
+                        frame: None,
+                        bytes: None,
+                        fault: "brownout",
+                        flipped_bits: None,
+                        delay_us: None,
+                        duration_us: Some(duration.as_micros()),
+                    }
+                    .into_record(ctx.now(), &self.names[node]),
                 );
             }
             self.set_node_state(ctx, node, Mode::Idle);
@@ -1394,10 +1412,13 @@ impl PipelineWorld {
         }
         let upstream = self.node_of_share[share - 1];
         if ctx.tracing() {
+            let data = Transaction::payload(Endpoint::Node(upstream), Endpoint::Node(node), 0);
             ctx.emit(
-                Transaction::payload(Endpoint::Node(upstream), Endpoint::Node(node), 0)
-                    .trace_record(ctx.now(), "timeout", 0)
-                    .with("upstream_alive", self.nodes[upstream].alive),
+                trace::Transaction {
+                    upstream_alive: Some(self.nodes[upstream].alive),
+                    ..data.trace_fields("timeout", 0)
+                }
+                .into_record(ctx.now(), data.component()),
             );
         }
         if !self.nodes[upstream].alive {

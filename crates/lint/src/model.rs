@@ -236,7 +236,7 @@ pub(crate) fn match_delim(tokens: &[Token], sig: &[usize], open: usize, o: char,
 }
 
 /// For every token, the name of the enclosing `impl`/`trait` type, if any.
-pub(crate) fn mark_impl_types(tokens: &[Token], sig: &[usize]) -> Vec<Option<String>> {
+fn mark_impl_types(tokens: &[Token], sig: &[usize]) -> Vec<Option<String>> {
     let mut out: Vec<Option<String>> = vec![None; tokens.len()];
     let punct_at = |k: usize, c: char| sig.get(k).is_some_and(|&ti| tokens[ti].is_punct(c));
     let mut si = 0;

@@ -8,7 +8,7 @@
 
 use crate::serial::SerialConfig;
 use crate::topology::{Endpoint, Route};
-use dles_sim::{SimRng, SimTime, TraceRecord};
+use dles_sim::{trace, SimRng, SimTime, TraceRecord};
 
 /// What a transaction carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,15 +82,25 @@ impl Transaction {
         link_component(self.from, self.to)
     }
 
-    /// Structured trace record for a lifecycle `event` of this transaction
-    /// (`"start"`, `"delivered"`, `"retransmit"`, `"timeout"`), tagged with
-    /// the frame it carries.
+    /// The `transaction` trace fields for a lifecycle `event` of this
+    /// transaction (`"start"`, `"delivered"`, `"retransmit"`, `"timeout"`),
+    /// tagged with the frame it carries; the timeout tails start unset.
+    pub fn trace_fields(&self, event: &'static str, frame: u64) -> trace::Transaction<'static> {
+        trace::Transaction {
+            event,
+            payload: self.kind.name(),
+            bytes: self.bytes,
+            frame,
+            waiter: None,
+            upstream_alive: None,
+        }
+    }
+
+    /// Structured trace record for a lifecycle `event` of this transaction,
+    /// emitted by its link component.
     pub fn trace_record(&self, time: SimTime, event: &'static str, frame: u64) -> TraceRecord {
-        TraceRecord::new(time, self.component(), "transaction")
-            .with("event", event)
-            .with("payload", self.kind.name())
-            .with("bytes", self.bytes)
-            .with("frame", frame)
+        self.trace_fields(event, frame)
+            .into_record(time, self.component())
     }
 }
 

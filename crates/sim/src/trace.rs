@@ -20,8 +20,13 @@
 //! ```
 //!
 //! `t_us` is the simulation clock in microseconds; `component` tags the
-//! emitter (`node0`, `link0→1`, `pipeline`); `kind` names the event type;
-//! every following key is event-specific, written in emit order.
+//! emitter (`node1`, `host->node1`, `pipeline`); `kind` names the event
+//! type; every following key is event-specific, written in emit order.
+//!
+//! The kinds and their fields are declared once, in the `trace_kinds!`
+//! table below: one struct per kind ([`StateTransition`], [`Transaction`],
+//! …) and the [`SCHEMA`] describing them. Records are built only through
+//! those structs.
 
 use crate::time::SimTime;
 use std::fmt;
@@ -44,21 +49,6 @@ impl From<u64> for FieldValue {
         FieldValue::U64(v)
     }
 }
-impl From<usize> for FieldValue {
-    fn from(v: usize) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<u32> for FieldValue {
-    fn from(v: u32) -> Self {
-        FieldValue::U64(v as u64)
-    }
-}
-impl From<i64> for FieldValue {
-    fn from(v: i64) -> Self {
-        FieldValue::I64(v)
-    }
-}
 impl From<f64> for FieldValue {
     fn from(v: f64) -> Self {
         FieldValue::F64(v)
@@ -69,19 +59,9 @@ impl From<&str> for FieldValue {
         FieldValue::Str(v.to_owned())
     }
 }
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
-        FieldValue::Str(v)
-    }
-}
 impl From<bool> for FieldValue {
     fn from(v: bool) -> Self {
         FieldValue::Bool(v)
-    }
-}
-impl From<SimTime> for FieldValue {
-    fn from(v: SimTime) -> Self {
-        FieldValue::U64(v.as_micros())
     }
 }
 
@@ -119,8 +99,227 @@ fn write_json_str<W: fmt::Write + ?Sized>(f: &mut W, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// Value class of a declared trace field, spelled as in
+/// `trace_schema.json` and README's trace-schema table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldClass {
+    Int,
+    Float,
+    Str,
+    Bool,
+}
+
+impl FieldClass {
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FieldClass::Int => "int",
+            FieldClass::Float => "float",
+            FieldClass::Str => "str",
+            FieldClass::Bool => "bool",
+        }
+    }
+}
+
+/// One declared field of a trace kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FieldSpec {
+    pub name: &'static str,
+    pub class: FieldClass,
+    /// Written on every record of the kind; optional fields only when set.
+    pub required: bool,
+}
+
+/// One declared trace kind: its `kind` tag and fields in emit order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindSpec {
+    pub kind: &'static str,
+    pub fields: &'static [FieldSpec],
+}
+
+/// The scalar types a trace field may hold.
+trait Scalar: Into<FieldValue> {
+    const CLASS: FieldClass;
+}
+impl Scalar for u64 {
+    const CLASS: FieldClass = FieldClass::Int;
+}
+impl Scalar for f64 {
+    const CLASS: FieldClass = FieldClass::Float;
+}
+impl Scalar for bool {
+    const CLASS: FieldClass = FieldClass::Bool;
+}
+impl Scalar for &str {
+    const CLASS: FieldClass = FieldClass::Str;
+}
+
+/// A declared field's type: a bare scalar is required, `Option` of one is
+/// optional and written only when `Some`.
+trait FieldType {
+    const CLASS: FieldClass;
+    const REQUIRED: bool;
+    fn append(self, rec: TraceRecord, name: &'static str) -> TraceRecord;
+}
+impl<T: Scalar> FieldType for T {
+    const CLASS: FieldClass = T::CLASS;
+    const REQUIRED: bool = true;
+    fn append(self, rec: TraceRecord, name: &'static str) -> TraceRecord {
+        rec.with(name, self)
+    }
+}
+impl<T: Scalar> FieldType for Option<T> {
+    const CLASS: FieldClass = T::CLASS;
+    const REQUIRED: bool = false;
+    fn append(self, rec: TraceRecord, name: &'static str) -> TraceRecord {
+        match self {
+            Some(v) => rec.with(name, v),
+            None => rec,
+        }
+    }
+}
+
+/// Declares the trace kinds: one struct per kind, whose fields are the
+/// record's fields in emit order, plus the [`SCHEMA`] table describing
+/// them all. A record can only be built through these structs, so an
+/// undeclared kind, a misspelled field, a wrong value type or a missing
+/// required field does not compile.
+macro_rules! trace_kinds {
+    ($(
+        $(#[$meta:meta])*
+        $name:ident $(<$lt:lifetime>)? = $kind:literal {
+            $($field:ident: $ty:ty),* $(,)?
+        }
+    )*) => {
+        $(
+            $(#[$meta])*
+            #[derive(Debug, Clone, Copy, PartialEq)]
+            pub struct $name $(<$lt>)? {
+                $(pub $field: $ty,)*
+            }
+
+            impl $(<$lt>)? $name $(<$lt>)? {
+                /// The declared fields, in emit order.
+                pub const FIELDS: &'static [FieldSpec] = &[$(FieldSpec {
+                    name: stringify!($field),
+                    class: <$ty as FieldType>::CLASS,
+                    required: <$ty as FieldType>::REQUIRED,
+                }),*];
+
+                /// The record emitted at `time` by `component`.
+                pub fn into_record(self, time: SimTime, component: impl Into<String>) -> TraceRecord {
+                    let mut rec = TraceRecord::new(time, component, $kind);
+                    rec.fields.reserve_exact(Self::FIELDS.len());
+                    $(rec = self.$field.append(rec, stringify!($field));)*
+                    rec
+                }
+            }
+        )*
+
+        /// Every declared trace kind, sorted by kind: the source of
+        /// `trace_schema.json` and README's trace-schema table.
+        pub static SCHEMA: &[KindSpec] = &[$(KindSpec {
+            kind: $kind,
+            fields: $name::FIELDS,
+        }),*];
+    };
+}
+
+trace_kinds! {
+    /// A link fault or a node brownout. Link faults carry the transfer
+    /// (`from` … `bytes`) and the fault's detail (`flipped_bits` for
+    /// `bit_error`, `delay_us` for `delay`); brownouts carry `duration_us`.
+    FaultInjected<'a> = "fault_injected" {
+        from: Option<&'a str>,
+        to: Option<&'a str>,
+        frame: Option<u64>,
+        bytes: Option<u64>,
+        fault: &'a str,
+        flipped_bits: Option<u64>,
+        delay_us: Option<u64>,
+        duration_us: Option<u64>,
+    }
+    /// A frame's result reached the host.
+    FrameComplete = "frame_complete" {
+        frame: u64,
+        latency_s: f64,
+        deadline_missed: bool,
+    }
+    /// One endpoint's side of a transfer (`dir` is `send` or `recv`).
+    Io<'a> = "io" {
+        dir: &'a str,
+        payload: &'a str,
+        frame: u64,
+    }
+    /// A survivor absorbed its dead neighbour's share.
+    Migration<'a> = "migration" {
+        dead: &'a str,
+        merged_freq_mhz: f64,
+        feasible: bool,
+    }
+    /// A node's battery is exhausted.
+    NodeDeath = "node_death" {
+        delivered_mah: f64,
+        stranded_mah: f64,
+    }
+    /// A scheduling policy's rotation decision.
+    PolicyDecision<'a> = "policy_decision" {
+        policy: &'a str,
+        frame: u64,
+        skew_soc: f64,
+        action: &'a str,
+        next_period_frames: Option<u64>,
+    }
+    /// An interval of constant battery draw, stamped at its end.
+    PowerSegment<'a> = "power_segment" {
+        mode: &'a str,
+        freq_mhz: f64,
+        duration_us: u64,
+        current_ma: f64,
+        energy_mj: f64,
+    }
+    /// The pipeline rotated the node roles.
+    Rotation = "rotation" {
+        frame: u64,
+        rotations: u64,
+    }
+    /// A node changed mode or DVS level; PROC starts add `share` and
+    /// `frame`, local-loop iterations only `share`.
+    StateTransition<'a> = "state_transition" {
+        mode: &'a str,
+        freq_mhz: f64,
+        share: Option<u64>,
+        frame: Option<u64>,
+    }
+    /// A link-level lifecycle event. Ack timeouts add the `waiter`,
+    /// receive timeouts whether the upstream node is alive.
+    Transaction<'a> = "transaction" {
+        event: &'a str,
+        payload: &'a str,
+        bytes: u64,
+        frame: u64,
+        waiter: Option<&'a str>,
+        upstream_alive: Option<bool>,
+    }
+}
+
 /// One structured trace record: when, who, what, plus typed fields.
+///
+/// Records are built only through the declared kinds above, never field by
+/// field outside this crate:
+///
+/// ```compile_fail
+/// use dles_sim::{SimTime, TraceRecord};
+/// let rec = TraceRecord::new(SimTime::ZERO, "node1", "made_up_kind");
+/// ```
+///
+/// ```
+/// use dles_sim::trace::Rotation;
+/// use dles_sim::SimTime;
+/// let rec = Rotation { frame: 10, rotations: 1 }.into_record(SimTime::ZERO, "pipeline");
+/// assert_eq!(rec.u64_field("rotations"), Some(1));
+/// ```
 #[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
 pub struct TraceRecord {
     pub time: SimTime,
     /// Component tag, e.g. `"node1"`, `"host"`, `"link0→1"`.
@@ -132,7 +331,7 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
-    pub fn new(time: SimTime, component: impl Into<String>, kind: &'static str) -> Self {
+    pub(crate) fn new(time: SimTime, component: impl Into<String>, kind: &'static str) -> Self {
         TraceRecord {
             time,
             component: component.into(),
@@ -142,7 +341,7 @@ impl TraceRecord {
     }
 
     /// Append a field (builder style; order is preserved in the output).
-    pub fn with(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
+    pub(crate) fn with(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
         self.fields.push((name, value.into()));
         self
     }
@@ -474,7 +673,7 @@ mod tests {
             for _ in 0..n_fields {
                 r = match rng.uniform_u64(0, 4) {
                     0 => r.with("u", rng.next_u64()),
-                    1 => r.with("i", -(rng.uniform_u64(0, 1 << 32) as i64)),
+                    1 => r.with("i", FieldValue::I64(-(rng.uniform_u64(0, 1 << 32) as i64))),
                     2 => r.with(
                         "f",
                         FLOATS[rng.uniform_u64(0, FLOATS.len() as u64 - 1) as usize],

@@ -24,7 +24,9 @@ use dles_core::faults::FaultProfile;
 use dles_core::montecarlo::{render_montecarlo, run_monte_carlo, MonteCarloConfig};
 use dles_core::pipeline::run_pipeline_with;
 use dles_core::rotation::RotationConfig;
+use dles_sim::trace::SCHEMA;
 use dles_sim::{JsonlRecorder, SimTime};
+use dles_tests::conformance::check_jsonl;
 
 /// A `Write` target the test can read back after the recorder is dropped.
 #[derive(Clone)]
@@ -100,42 +102,34 @@ fn mc16_report_matches_golden() {
     );
 }
 
-/// The committed EXP-2C golden must conform to the statically extracted
-/// trace schema: same flow as `dles-lint --check-goldens`, driven through
-/// the library so a schema/golden mismatch fails `cargo test` even when
-/// the lint binary is never invoked.
+/// Every committed `tests/goldens/*.jsonl` record must conform to the
+/// declared trace schema: known kind, known fields, value classes the
+/// JSONL writer can produce, required fields present.
 #[test]
 fn committed_goldens_conform_to_the_trace_schema() {
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("tests/ lives one level below the workspace root")
-        .to_path_buf();
-    let mut files = Vec::new();
-    for top in dles_lint::DEFAULT_ROOTS {
-        dles_lint::collect_rs_files(&root.join(top), &mut files).unwrap();
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("goldens");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .expect("tests/goldens/ must be readable")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "jsonl"))
+        .collect();
+    paths.sort();
+    assert!(!paths.is_empty(), "no JSONL goldens under {dir:?}");
+    for path in paths {
+        let text = std::fs::read_to_string(&path).expect("golden is UTF-8");
+        let problems = check_jsonl(SCHEMA, &text);
+        assert!(
+            problems.is_empty(),
+            "{} no longer conforms to the trace schema:\n{}",
+            path.display(),
+            problems
+                .iter()
+                .take(25)
+                .map(|(line, p)| format!("line {line}: {p}"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
     }
-    files.sort();
-    let mut outcome = dles_lint::scan_files(&root, &files);
-    dles_lint::analyze_workspace(&root, &mut outcome, true);
-    let schema = outcome
-        .schema
-        .as_ref()
-        .expect("full workspace scan always builds a schema");
-    assert!(
-        schema.kinds.contains_key("transaction"),
-        "schema extraction missed the workspace emit sites entirely"
-    );
-    let (findings, io_errors) = dles_lint::schema::check_goldens(schema, &root, "tests/goldens");
-    assert_eq!(io_errors, 0, "tests/goldens/ must be readable");
-    assert!(
-        findings.is_empty(),
-        "committed goldens no longer conform to the extracted trace schema:\n{}",
-        findings
-            .iter()
-            .map(|f| format!("{}:{} [{}] {}", f.path, f.line, f.rule.as_str(), f.message))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 /// Rewrites both goldens in place. Ignored by default: regeneration is an
