@@ -1,7 +1,8 @@
-//! Hot-path microbenches backing the D015/D016 dataflow lints: trace
-//! emission through the buffered [`JsonlRecorder`] vs the pre-fix
-//! per-record allocating renderer, plus raw event-dispatch throughput of
-//! the engine loop the lints guard.
+//! Hot-path microbenches: trace emission through the buffered
+//! [`JsonlRecorder`] vs the pre-fix per-record allocating renderer, plus
+//! raw event-dispatch throughput of the engine loop. Whether real
+//! experiments allocate per event is checked by
+//! `tests/alloc_free_dispatch.rs`, not here.
 //!
 //! Besides the usual criterion lines, `main` writes the measured medians
 //! and the emission speedup to `BENCH_hotpath.json` at the repo root —
@@ -56,7 +57,8 @@ fn sample_records() -> Vec<TraceRecord> {
 
 /// The pre-fix rendering: one fresh `String` per record assembled with
 /// `format!`, plus `FieldValue` temporaries for `component` and `kind` —
-/// exactly the churn D015 flagged, kept here as the measured baseline.
+/// the per-record churn the buffered recorder removed, kept here as the
+/// measured baseline.
 fn alloc_render(r: &TraceRecord) -> String {
     let mut line = format!("{{\"t_us\": {}", r.time.as_micros());
     line.push_str(&format!(

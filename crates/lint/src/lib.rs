@@ -6,20 +6,19 @@
 //! That guarantee is easy to break silently — a stray `Instant::now`, a
 //! `HashMap` iterated into a report, a `partial_cmp().unwrap()` on a NaN —
 //! so this crate checks the source mechanically instead of by convention.
-//! Rules are numbered D001–D016 (plus D000 for allow-comment hygiene);
+//! Rules are numbered D001–D011 (plus D000 for allow-comment hygiene);
 //! `LINTS.md` at the workspace root documents each one. Per-file rules
-//! run in pass 1 ([`rules`]), the interprocedural graph rules in pass 2
-//! ([`graph`]), and the intraprocedural CFG/dataflow rules in pass 4
-//! ([`mod@cfg`] + [`dataflow`]). Pass 3 and its rules D012–D014 are
-//! retired: `dles-sim::trace` declares the trace schema, the compiler
-//! enforces it, and `cargo test` checks the goldens against it.
+//! run in pass 1 ([`rules`]) and the interprocedural graph rules in pass 2
+//! ([`graph`]). Passes 3 and 4 are retired. Pass 3 (D012–D014) gave way
+//! to the `dles-sim::trace` declaration, which the compiler enforces, and
+//! to golden conformance under `cargo test`. Pass 4 (D015/D016, hot-loop
+//! allocations) gave way to `tests/alloc_free_dispatch.rs`, which counts
+//! heap allocations per dispatched event directly.
 //!
 //! The scanner is a hand-rolled token-level lexer ([`lexer`]) because the
 //! build environment is offline (no `syn`); the rules ([`rules`]) operate
 //! on that token stream with string/comment/attribute awareness.
 
-pub mod cfg;
-pub mod dataflow;
 pub mod graph;
 pub mod lexer;
 pub mod model;
@@ -140,9 +139,8 @@ pub fn crosscheck_workspace_docs(root: &Path, outcome: &mut ScanOutcome) {
     }
 }
 
-/// Run the pass-2 interprocedural rules (D009/D010/D011) and the pass-4
-/// dataflow rules (D015/D016) over the merged per-file models, appending
-/// their findings to `outcome`. `full` marks a whole-workspace scan, which
+/// Run the pass-2 interprocedural rules (D009/D010/D011) over the merged
+/// per-file models, appending their findings to `outcome`. `full` marks a whole-workspace scan, which
 /// is the only mode where "documented counter key has no emit site" is
 /// decidable. The README read here feeds the D010 counter-key registry.
 pub fn analyze_workspace(root: &Path, outcome: &mut ScanOutcome, full: bool) {

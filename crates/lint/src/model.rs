@@ -48,9 +48,6 @@ pub struct FnItem {
     pub lock_pairs: Vec<(usize, usize)>,
     /// (lock index, call index): calls made while the lock is held.
     pub calls_under_lock: Vec<(usize, usize)>,
-    /// Pass-4 CFG/dataflow facts: loop-region alloc sinks (D015) and
-    /// loop-invariant rebuild candidates (D016).
-    pub flow: crate::dataflow::FnFlow,
 }
 
 impl FnItem {
@@ -208,7 +205,6 @@ pub fn build_model(rel_path: &str, tokens: &[Token], sig: &[usize], in_test: &[b
             ..FnItem::default()
         };
         scan_body(tokens, sig, k, body_end, &mut item);
-        item.flow = crate::dataflow::analyze_body(tokens, sig, k, body_end);
         model.fns.push(item);
         si = body_end.max(si + 1);
     }
