@@ -34,7 +34,9 @@
 //!   configurations across scoped worker threads with byte-identical
 //!   output for any worker count, deduplicating identical simulations
 //!   through a keyed result cache;
-//! * [`report`] — the tables and figure data of the paper, regenerated.
+//! * [`report`] — the tables and figure data of the paper, regenerated;
+//! * [`counters`] — the declared event-counter keys ([`CounterKey`]) and
+//!   the key-typed counter set the simulation counts through.
 //!
 //! ```no_run
 //! use dles_core::experiment::{Experiment, run_experiment};
@@ -46,6 +48,7 @@
 //! ```
 #![forbid(unsafe_code)]
 
+pub mod counters;
 pub mod experiment;
 pub mod faults;
 pub mod metrics;
@@ -62,6 +65,7 @@ pub mod sweep;
 pub mod timeline;
 pub mod workload;
 
+pub use counters::{CounterKey, Counters};
 pub use experiment::{policy_config, run_experiment, Experiment};
 pub use faults::{FaultPlan, FaultProfile, LinkFault};
 pub use metrics::ExperimentResult;

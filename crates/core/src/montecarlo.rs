@@ -10,6 +10,7 @@
 //! (index-ordered result slots), so the aggregated report is
 //! **byte-identical regardless of the worker count**.
 
+use crate::counters::CounterKey;
 use crate::faults::{FaultPlan, FaultProfile};
 use crate::pipeline::{run_pipeline, PipelineConfig};
 use dles_sim::{par_map, CounterSet, DistSummary, SimRng};
@@ -118,19 +119,19 @@ pub fn run_monte_carlo(cfg: &MonteCarloConfig) -> MonteCarloReport {
 }
 
 /// Counters worth surfacing in the summary, in report order.
-const REPORTED_COUNTERS: [&str; 12] = [
-    "fault_drops",
-    "fault_bit_errors",
-    "fault_delays",
-    "fault_brownouts",
-    "retransmissions",
-    "ack_timeouts",
-    "recv_timeouts",
-    "sends_abandoned",
-    "duplicate_frames_dropped",
-    "transfers_lost",
-    "migrations",
-    "node_deaths",
+const REPORTED_COUNTERS: [CounterKey; 12] = [
+    CounterKey::FaultDrops,
+    CounterKey::FaultBitErrors,
+    CounterKey::FaultDelays,
+    CounterKey::FaultBrownouts,
+    CounterKey::Retransmissions,
+    CounterKey::AckTimeouts,
+    CounterKey::RecvTimeouts,
+    CounterKey::SendsAbandoned,
+    CounterKey::DuplicateFramesDropped,
+    CounterKey::TransfersLost,
+    CounterKey::Migrations,
+    CounterKey::NodeDeaths,
 ];
 
 /// Render the report as a text table.
@@ -161,7 +162,8 @@ pub fn render_montecarlo(report: &MonteCarloReport) -> String {
         );
     }
     let _ = writeln!(out, "\nfault / recovery counters (all trials):");
-    for name in REPORTED_COUNTERS {
+    for key in REPORTED_COUNTERS {
+        let name = key.name();
         let _ = writeln!(out, "  {:<26} {:>12}", name, report.counters.get(name));
     }
     out

@@ -15,6 +15,7 @@
 //! migration; node rotation periodically shifts every node's role by one
 //! with the §5.5 doubling trick that preserves throughput.
 
+use crate::counters::{CounterKey, Counters};
 use crate::faults::{FaultPlan, FaultState, LinkFault};
 use crate::metrics::ExperimentResult;
 use crate::node::{BatterySpec, SimNode};
@@ -274,7 +275,7 @@ pub struct PipelineWorld {
     latency: dles_sim::Histogram,
     stopped_at: Option<SimTime>,
     /// Monotonic event counters, reported with the experiment result.
-    counters: dles_sim::CounterSet,
+    counters: Counters,
 }
 
 impl PipelineWorld {
@@ -335,7 +336,7 @@ impl PipelineWorld {
             rotations: 0,
             latency: dles_sim::Histogram::new(0.0, 60.0, 600),
             stopped_at: None,
-            counters: dles_sim::CounterSet::new(),
+            counters: Counters::default(),
             cfg,
         }
     }
@@ -445,7 +446,7 @@ impl PipelineWorld {
         let base = self.base_level(node);
         let policy = self.policy_for(node);
         let level = policy.level_for(mode, base, &self.cfg.sys.dvs);
-        self.counters.incr("state_transitions");
+        self.counters.incr(CounterKey::StateTransitions);
         if ctx.tracing() {
             ctx.emit(
                 trace::StateTransition {
@@ -492,10 +493,12 @@ impl PipelineWorld {
             if fs.profile.has_link_faults() {
                 t.fault = fs.draw_transfer_fault(t.bytes, t.frame);
                 match t.fault {
-                    Some(LinkFault::Dropped) => self.counters.incr("fault_drops"),
-                    Some(LinkFault::Corrupted { .. }) => self.counters.incr("fault_bit_errors"),
+                    Some(LinkFault::Dropped) => self.counters.incr(CounterKey::FaultDrops),
+                    Some(LinkFault::Corrupted { .. }) => {
+                        self.counters.incr(CounterKey::FaultBitErrors)
+                    }
                     Some(LinkFault::Delayed(extra)) => {
-                        self.counters.incr("fault_delays");
+                        self.counters.incr(CounterKey::FaultDelays);
                         duration += extra;
                     }
                     None => {}
@@ -534,8 +537,8 @@ impl PipelineWorld {
         }
         t.epoch = self.epoch;
         self.counters.incr(match t.kind {
-            TransferKind::Data => "transfers_data",
-            TransferKind::Ack => "transfers_ack",
+            TransferKind::Data => CounterKey::TransfersData,
+            TransferKind::Ack => CounterKey::TransfersAck,
         });
         let id = self.transfers.len();
         self.transfers.push(t);
@@ -559,7 +562,7 @@ impl PipelineWorld {
         }
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
-        self.counters.incr("state_transitions");
+        self.counters.incr(CounterKey::StateTransitions);
         if ctx.tracing() {
             ctx.emit(
                 trace::StateTransition {
@@ -675,7 +678,7 @@ impl PipelineWorld {
             self.share_of_node[node] = Some(s);
         }
         self.rotations += 1;
-        self.counters.incr("rotations");
+        self.counters.incr(CounterKey::Rotations);
     }
 
     /// Adaptive-policy bookkeeping for a wave just launched at `frame`:
@@ -702,7 +705,7 @@ impl PipelineWorld {
                 action = "rotate_stretch";
             }
         }
-        self.counters.incr("policy_decisions");
+        self.counters.incr(CounterKey::PolicyDecisions);
         if ctx.tracing() {
             let adaptive = matches!(self.cfg.scheduling, SchedulingPolicy::AdaptivePeriod { .. });
             ctx.emit(
@@ -774,7 +777,7 @@ impl PipelineWorld {
         // In-flight data against the old share map is lost.
         self.epoch += 1;
         self.migrations += 1;
-        self.counters.incr("migrations");
+        self.counters.incr(CounterKey::Migrations);
         if ctx.tracing() {
             ctx.emit(
                 trace::Migration {
@@ -822,7 +825,7 @@ impl PipelineWorld {
             mean_frame_latency_s: dles_units::Seconds::new(self.latency.mean()),
             p95_frame_latency_s: dles_units::Seconds::new(self.latency.quantile(0.95)),
             nodes: self.nodes.iter().map(SimNode::outcome).collect(),
-            counters: self.counters.clone(),
+            counters: self.counters.as_set().clone(),
         }
     }
 
@@ -838,7 +841,7 @@ impl PipelineWorld {
 
     /// The monotonic event counters accumulated so far.
     pub fn counters(&self) -> &dles_sim::CounterSet {
-        &self.counters
+        self.counters.as_set()
     }
 }
 
@@ -863,7 +866,7 @@ impl World for PipelineWorld {
                     // work is lost, but the node already holds its *new*
                     // role in the share map and rejoins there when the
                     // brownout lifts.
-                    self.counters.incr("frames_lost_brownout");
+                    self.counters.incr(CounterKey::FramesLostBrownout);
                 } else {
                     self.start_proc(ctx, node, frame, share);
                 }
@@ -882,7 +885,7 @@ impl PipelineWorld {
     fn on_host_emit(&mut self, ctx: &mut Ctx<Ev>) {
         let frame = self.next_frame;
         self.next_frame += 1;
-        self.counters.incr("frames_emitted");
+        self.counters.incr(CounterKey::FramesEmitted);
         // Keep emitting one frame per D (the external source's rate).
         ctx.schedule_in(self.cfg.sys.frame_delay, Ev::HostEmit);
 
@@ -899,7 +902,7 @@ impl PipelineWorld {
                 // another now would overwrite unconsumed tags, losing the
                 // wave and doubling the wrong share. Wait for the next
                 // emission.
-                self.counters.incr("rotations_deferred");
+                self.counters.incr(CounterKey::RotationsDeferred);
             } else {
                 let n = self.node_of_share.len();
                 for s in 0..n - 1 {
@@ -993,7 +996,7 @@ impl PipelineWorld {
                     // This was an ack the receiver owed; now it can PROC.
                     debug_assert_eq!(node, s);
                     if self.is_offline(ctx.now(), node) {
-                        self.counters.incr("frames_lost_brownout");
+                        self.counters.incr(CounterKey::FramesLostBrownout);
                     } else if t.epoch == self.epoch {
                         self.start_proc(ctx, node, frame, share);
                     }
@@ -1015,14 +1018,14 @@ impl PipelineWorld {
                     if transfer_lost(&t) {
                         // Dropped in flight or rejected by the PPP FCS;
                         // the sender's ack timeout drives the retry.
-                        self.counters.incr("transfers_lost");
+                        self.counters.incr(CounterKey::TransfersLost);
                         return;
                     }
                     if self.cfg.recovery.is_some() && self.recent_host_frames.contains(&t.frame) {
                         // Duplicate delivery (a retransmission whose
                         // original — or its ack — was lost): re-ack so the
                         // sender stands down, but don't double-count.
-                        self.counters.incr("duplicate_frames_dropped");
+                        self.counters.incr(CounterKey::DuplicateFramesDropped);
                         self.host_ack(ctx, t.from, t.frame, t.seq);
                         return;
                     }
@@ -1030,7 +1033,7 @@ impl PipelineWorld {
                         remember(&mut self.recent_host_frames, t.frame);
                     }
                     self.frames_completed += 1;
-                    self.counters.incr("frames_completed");
+                    self.counters.incr(CounterKey::FramesCompleted);
                     let depth = self.depth_at_emission(t.frame);
                     let emitted =
                         SimTime::from_micros(t.frame * self.cfg.sys.frame_delay.as_micros());
@@ -1042,7 +1045,7 @@ impl PipelineWorld {
                     let missed = ctx.now() > deadline;
                     if missed {
                         self.deadline_misses += 1;
-                        self.counters.incr("deadline_misses");
+                        self.counters.incr(CounterKey::DeadlineMisses);
                     }
                     if ctx.tracing() {
                         ctx.emit(
@@ -1065,13 +1068,13 @@ impl PipelineWorld {
                 }
                 if self.is_offline(ctx.now(), r) {
                     // The receiver is browned out: nothing is heard.
-                    self.counters.incr("transfers_lost_offline");
+                    self.counters.incr(CounterKey::TransfersLostOffline);
                     return;
                 }
                 if transfer_lost(&t) {
                     // Dropped in flight or rejected by the PPP FCS; the
                     // sender's ack timeout drives the retry.
-                    self.counters.incr("transfers_lost");
+                    self.counters.incr(CounterKey::TransfersLost);
                     self.set_node_state(ctx, r, Mode::Idle);
                     return;
                 }
@@ -1094,7 +1097,7 @@ impl PipelineWorld {
                         if self.cfg.recovery.is_some() && self.recent_frames[r].contains(&t.frame) {
                             // Duplicate delivery after a lost ack: re-ack
                             // (without re-processing) so the sender stops.
-                            self.counters.incr("duplicate_frames_dropped");
+                            self.counters.incr(CounterKey::DuplicateFramesDropped);
                             self.plan_transfer(
                                 ctx,
                                 Transfer {
@@ -1153,7 +1156,7 @@ impl PipelineWorld {
             // Brownout hit mid-PROC: the frame's work is lost. A pending
             // doubling tag is forfeited with it — leaving it would let a
             // later frame of a recycled share index spuriously match.
-            self.counters.incr("frames_lost_brownout");
+            self.counters.incr(CounterKey::FramesLostBrownout);
             if self.double_from_share[node].take().is_some() {
                 self.wave_resolve_one();
             }
@@ -1198,7 +1201,7 @@ impl PipelineWorld {
         // different shares mid-PROC without renumbering them.
         let cur = if self.cfg.recovery.is_some() {
             let Some(cur) = self.share_of_node[node] else {
-                self.counters.incr("frames_lost_migration");
+                self.counters.incr(CounterKey::FramesLostMigration);
                 return;
             };
             cur
@@ -1224,12 +1227,12 @@ impl PipelineWorld {
         // which starts the loop at t = 0).
         if ctx.now() > SimTime::ZERO {
             self.frames_completed += 1;
-            self.counters.incr("frames_completed");
+            self.counters.incr(CounterKey::FramesCompleted);
         }
         let share = self.share_of_node[node].expect("local node keeps its share"); // lint: allow(D005) — invariant: ProcEnd only fires on nodes the share map still assigns work to
         let level = self.cfg.levels[share];
         let dur = self.cfg.shares[share].proc_time(&self.cfg.sys.dvs, level);
-        self.counters.incr("state_transitions");
+        self.counters.incr(CounterKey::StateTransitions);
         if ctx.tracing() {
             ctx.emit(
                 trace::StateTransition {
@@ -1261,7 +1264,7 @@ impl PipelineWorld {
         if !self.nodes[node].alive {
             return;
         }
-        self.counters.incr("node_deaths");
+        self.counters.incr(CounterKey::NodeDeaths);
         self.nodes[node].die_recorded(ctx.now(), ctx.recorder(), &self.names[node]);
         if ctx.tracing() {
             ctx.emit(
@@ -1306,7 +1309,7 @@ impl PipelineWorld {
             self.outstanding[node].remove(pos);
             return;
         }
-        self.counters.incr("ack_timeouts");
+        self.counters.incr(CounterKey::AckTimeouts);
         if ctx.tracing() {
             let ack = Transaction::ack(entry.to, Endpoint::Node(node));
             ctx.emit(
@@ -1320,7 +1323,7 @@ impl PipelineWorld {
         if self.is_offline(ctx.now(), node) {
             // A browned-out sender can't retransmit; give the frame up.
             self.outstanding[node].remove(pos);
-            self.counters.incr("sends_abandoned");
+            self.counters.incr(CounterKey::SendsAbandoned);
             return;
         }
         match entry.to {
@@ -1334,7 +1337,7 @@ impl PipelineWorld {
                 let max_retries = self.cfg.recovery.map(|r| r.max_retries).unwrap_or(0);
                 if entry.retries < max_retries {
                     self.outstanding[node][pos].retries += 1;
-                    self.counters.incr("retransmissions");
+                    self.counters.incr(CounterKey::Retransmissions);
                     self.plan_transfer(
                         ctx,
                         Transfer {
@@ -1353,7 +1356,7 @@ impl PipelineWorld {
                     );
                 } else {
                     self.outstanding[node].remove(pos);
-                    self.counters.incr("sends_abandoned");
+                    self.counters.incr(CounterKey::SendsAbandoned);
                 }
             }
         }
@@ -1364,7 +1367,7 @@ impl PipelineWorld {
             return;
         };
         if self.nodes[node].alive {
-            self.counters.incr("fault_brownouts");
+            self.counters.incr(CounterKey::FaultBrownouts);
             let until = ctx.now() + duration;
             if let Some(fs) = self.faults.as_mut() {
                 fs.offline_until[node] = until;
@@ -1403,7 +1406,7 @@ impl PipelineWorld {
         if seq != self.recv_seq[node] || !self.nodes[node].alive {
             return;
         }
-        self.counters.incr("recv_timeouts");
+        self.counters.incr(CounterKey::RecvTimeouts);
         let Some(share) = self.share_of_node[node] else {
             return;
         };
@@ -1734,13 +1737,23 @@ mod tests {
     #[test]
     fn counters_agree_with_result_metrics() {
         let r = run_pipeline(two_node_config("2"));
-        assert_eq!(r.counters.get("frames_completed"), r.frames_completed);
-        assert_eq!(r.counters.get("deadline_misses"), r.deadline_misses);
-        assert_eq!(r.counters.get("node_deaths"), 1, "Node2 dies, run stops");
+        assert_eq!(
+            r.counters.get(CounterKey::FramesCompleted.name()),
+            r.frames_completed
+        );
+        assert_eq!(
+            r.counters.get(CounterKey::DeadlineMisses.name()),
+            r.deadline_misses
+        );
+        assert_eq!(
+            r.counters.get(CounterKey::NodeDeaths.name()),
+            1,
+            "Node2 dies, run stops"
+        );
         // Every completed frame needed 3 data transfers (host→1→2→host).
-        assert!(r.counters.get("transfers_data") >= 3 * r.frames_completed);
-        assert!(r.counters.get("frames_emitted") >= r.frames_completed);
-        assert!(r.counters.get("state_transitions") > 0);
+        assert!(r.counters.get(CounterKey::TransfersData.name()) >= 3 * r.frames_completed);
+        assert!(r.counters.get(CounterKey::FramesEmitted.name()) >= r.frames_completed);
+        assert!(r.counters.get(CounterKey::StateTransitions.name()) > 0);
     }
 
     #[test]
@@ -1791,18 +1804,7 @@ mod tests {
     /// 100-frame grid.
     #[test]
     fn rotation_defers_while_a_wave_is_still_reconfiguring() {
-        let mut cfg = two_node_config("overlap");
-        cfg.policy = DvsPolicy::DvsDuringIo;
-        cfg.rotation = Some(RotationConfig::every(1));
-        let mut engine = build_engine(cfg);
-        {
-            // A wave is mid-reconfig: its tag is consumed (DoubleProc
-            // pending) but the doubling has not resolved yet.
-            let w = engine.world_mut();
-            w.wave_outstanding = 1;
-        }
-        // Frame 1 at t = D triggers a period-1 rotation.
-        engine.run_until(SimTime::from_secs(3));
+        let engine = deferred_rotation_engine();
         let w = engine.world();
         assert_eq!(
             w.rotations(),
@@ -1810,7 +1812,7 @@ mod tests {
             "a new wave must not launch over an unresolved one"
         );
         assert!(
-            w.counters().get("rotations_deferred") >= 1,
+            w.counters().get(CounterKey::RotationsDeferred.name()) >= 1,
             "the deferral must be accounted"
         );
         assert_eq!(
@@ -1818,6 +1820,99 @@ mod tests {
             vec![None, None],
             "no doubling tags may be planted while deferring"
         );
+    }
+
+    /// A period-1 rotation is due at frame 1 (t = D) while the previous
+    /// wave is mid-reconfig: its tag is consumed (DoubleProc pending) but
+    /// the doubling has not resolved yet. Runs to t = 3 s.
+    fn deferred_rotation_engine() -> Engine<PipelineWorld> {
+        let mut cfg = two_node_config("overlap");
+        cfg.policy = DvsPolicy::DvsDuringIo;
+        cfg.rotation = Some(RotationConfig::every(1));
+        let mut engine = build_engine(cfg);
+        engine.world_mut().wave_outstanding = 1;
+        engine.run_until(SimTime::from_secs(3));
+        engine
+    }
+
+    /// Under recovery, a PROC that ends on a live node which no longer
+    /// holds any share drops its frame. `migrate` only ever unmaps the
+    /// dead node, so no run reaches this state on its own: plant it, as
+    /// the deferral test plants an outstanding wave, and fire the PROC
+    /// end at t = 0.
+    fn migrated_away_proc_engine() -> Engine<PipelineWorld> {
+        let mut cfg = two_node_config("migrated-away");
+        cfg.recovery = Some(RecoveryConfig::paper());
+        let mut engine = build_engine(cfg);
+        engine.world_mut().share_of_node[1] = None;
+        engine.schedule_at(
+            SimTime::ZERO,
+            Ev::ProcEnd {
+                node: 1,
+                frame: 0,
+                share: 1,
+            },
+        );
+        engine.run_until(SimTime::ZERO);
+        engine
+    }
+
+    #[test]
+    fn proc_end_without_a_share_drops_the_frame() {
+        let engine = migrated_away_proc_engine();
+        let w = engine.world();
+        assert_eq!(w.counters().get(CounterKey::FramesLostMigration.name()), 1);
+        assert!(
+            w.transfers.iter().all(|t| t.from != Endpoint::Node(1)),
+            "a dropped frame is not sent onward"
+        );
+    }
+
+    /// Every declared counter key is incremented by at least one run:
+    /// short seeded scenarios with faults, brownouts, an adaptive policy
+    /// and a node death, a sweep with a dedup and a cache hit, and the two
+    /// planted states above.
+    #[test]
+    fn every_counter_key_is_reached() {
+        use crate::experiment::{policy_config, Experiment};
+        use crate::faults::FaultProfile;
+        use crate::sweep::SweepEngine;
+
+        let mut harsh = Experiment::Exp2B.config();
+        harsh.jitter_seed = Some(11);
+        harsh.faults = Some(FaultPlan::new(
+            FaultProfile {
+                brownout_mean_interval: SimTime::from_secs(120),
+                ..FaultProfile::harsh()
+            },
+            11,
+        ));
+        harsh.horizon = SimTime::from_secs(600);
+        let mut adaptive = policy_config(SchedulingPolicy::by_name("adaptive").unwrap());
+        adaptive.horizon = SimTime::from_secs(600);
+        let mut migration = Experiment::Exp2B.config();
+        migration.battery_scales = Some(vec![1.0, 0.01]);
+        migration.horizon = SimTime::from_secs(900);
+
+        let mut reached = dles_sim::CounterSet::new();
+        for cfg in [harsh, adaptive, migration] {
+            reached.merge(&run_pipeline(cfg).counters);
+        }
+        let sweep = SweepEngine::new();
+        let mut job = Experiment::Exp2.config();
+        job.horizon = SimTime::from_secs(60);
+        sweep.run(&[job.clone(), job.clone()], 1);
+        sweep.run(&[job], 1);
+        reached.merge(&sweep.counters());
+        reached.merge(deferred_rotation_engine().world().counters());
+        reached.merge(migrated_away_proc_engine().world().counters());
+
+        let missing: Vec<&str> = CounterKey::ALL
+            .iter()
+            .map(|k| k.name())
+            .filter(|&name| reached.get(name) == 0)
+            .collect();
+        assert!(missing.is_empty(), "never incremented: {missing:?}");
     }
 
     /// Companion: with an *irregular* (SoC-driven) rotation schedule the
@@ -1909,7 +2004,7 @@ mod tests {
         {
             let w = engine.world();
             assert_eq!(
-                w.counters().get("frames_lost_brownout"),
+                w.counters().get(CounterKey::FramesLostBrownout.name()),
                 1,
                 "the doubled frame lost to the brownout must be counted"
             );
@@ -1930,7 +2025,7 @@ mod tests {
             w.rotations()
         );
         assert!(
-            w.counters().get("frames_completed") > 100,
+            w.counters().get(CounterKey::FramesCompleted.name()) > 100,
             "pipeline stalled after the reconfig brownout"
         );
     }
@@ -2011,7 +2106,7 @@ mod tests {
         engine.schedule_at(SimTime::from_millis(1), Ev::AckTimeout { node: 0, seq: 0 });
         engine.run_until(SimTime::from_millis(2));
         let w = engine.world();
-        assert_eq!(w.counters().get("retransmissions"), 1);
+        assert_eq!(w.counters().get(CounterKey::Retransmissions.name()), 1);
         assert_eq!(w.migrations(), 0, "live target must not trigger failover");
         assert_eq!(w.outstanding[0][0].retries, 1);
     }

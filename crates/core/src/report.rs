@@ -355,10 +355,11 @@ mod tests {
 
     #[test]
     fn counter_table_renders_in_order() {
-        let mut cs = dles_sim::CounterSet::new();
-        cs.add("frames_emitted", 12);
-        cs.add("frames_completed", 11);
-        let text = render_counters("2C", &cs);
+        use crate::counters::{CounterKey, Counters};
+        let mut cs = Counters::default();
+        cs.add(CounterKey::FramesEmitted, 12);
+        cs.add(CounterKey::FramesCompleted, 11);
+        let text = render_counters("2C", cs.as_set());
         assert!(text.contains("Event counters (2C)"));
         let emitted = text.find("frames_emitted").unwrap();
         let completed = text.find("frames_completed").unwrap();

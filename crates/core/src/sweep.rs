@@ -23,6 +23,7 @@
 //!   pure function of the job list and prior cache contents — never of
 //!   scheduling.
 
+use crate::counters::{CounterKey, Counters};
 use crate::metrics::ExperimentResult;
 use crate::pipeline::{run_pipeline, PipelineConfig};
 use crate::workload::SystemConfig;
@@ -105,7 +106,7 @@ impl SimKey {
 #[derive(Debug, Default)]
 pub struct SweepEngine {
     cache: Mutex<BTreeMap<SimKey, ExperimentResult>>,
-    counters: Mutex<CounterSet>,
+    counters: Mutex<Counters>,
 }
 
 impl SweepEngine {
@@ -149,10 +150,10 @@ impl SweepEngine {
                 .counters
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            c.add("sweep_jobs", jobs.len() as u64);
-            c.add("sweep_cache_hits", hits);
-            c.add("sweep_dedup_hits", dedups);
-            c.add("sweep_sims_run", work.len() as u64);
+            c.add(CounterKey::SweepJobs, jobs.len() as u64);
+            c.add(CounterKey::SweepCacheHits, hits);
+            c.add(CounterKey::SweepDedupHits, dedups);
+            c.add(CounterKey::SweepSimsRun, work.len() as u64);
         }
         // Start the heaviest simulations first so the work-pull packs
         // them tightly: sort by descending node count, stable on first
@@ -189,6 +190,7 @@ impl SweepEngine {
         self.counters
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .as_set()
             .clone()
     }
 
@@ -366,7 +368,7 @@ pub fn policy_lifetime_sweep(engine: &SweepEngine, threads: usize) -> Vec<Policy
                 lifetime_h: Hours::new(h),
                 frames_completed: r.frames_completed,
                 deadline_misses: r.deadline_misses,
-                rotations: r.counters.get("rotations"),
+                rotations: r.counters.get(CounterKey::Rotations.name()),
                 delta_percent: if base_h > 0.0 {
                     100.0 * (h - base_h) / base_h
                 } else {
@@ -446,13 +448,13 @@ mod tests {
         let engine = SweepEngine::new();
         let out = engine.run(&[a, b], 2);
         assert_eq!(
-            engine.counters().get("sweep_sims_run"),
+            engine.counters().get(CounterKey::SweepSimsRun.name()),
             2,
             "different-policy jobs must not share one simulation"
         );
         assert_ne!(
-            out[0].counters.get("rotations"),
-            out[1].counters.get("rotations"),
+            out[0].counters.get(CounterKey::Rotations.name()),
+            out[1].counters.get(CounterKey::Rotations.name()),
             "the SoC-skew policy rotates far more often than fixed-100"
         );
     }
@@ -467,10 +469,10 @@ mod tests {
         assert_eq!(out[1].label, "second");
         assert_eq!(out[0].lifetime, out[1].lifetime);
         let c = engine.counters();
-        assert_eq!(c.get("sweep_jobs"), 2);
-        assert_eq!(c.get("sweep_sims_run"), 1);
-        assert_eq!(c.get("sweep_dedup_hits"), 1);
-        assert_eq!(c.get("sweep_cache_hits"), 0);
+        assert_eq!(c.get(CounterKey::SweepJobs.name()), 2);
+        assert_eq!(c.get(CounterKey::SweepSimsRun.name()), 1);
+        assert_eq!(c.get(CounterKey::SweepDedupHits.name()), 1);
+        assert_eq!(c.get(CounterKey::SweepCacheHits.name()), 0);
         assert_eq!(engine.cache_len(), 1);
     }
 
@@ -483,8 +485,8 @@ mod tests {
         assert_eq!(cold[0].lifetime, warm[0].lifetime);
         assert_eq!(cold[0].counters, warm[0].counters);
         let c = engine.counters();
-        assert_eq!(c.get("sweep_cache_hits"), 1);
-        assert_eq!(c.get("sweep_sims_run"), 1);
+        assert_eq!(c.get(CounterKey::SweepCacheHits.name()), 1);
+        assert_eq!(c.get(CounterKey::SweepSimsRun.name()), 1);
     }
 
     #[test]
@@ -545,6 +547,6 @@ mod tests {
     fn empty_job_list_is_a_no_op() {
         let engine = SweepEngine::new();
         assert!(engine.run(&[], 4).is_empty());
-        assert_eq!(engine.counters().get("sweep_jobs"), 0);
+        assert_eq!(engine.counters().get(CounterKey::SweepJobs.name()), 0);
     }
 }

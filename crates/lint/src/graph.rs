@@ -1,5 +1,5 @@
 //! Pass 2 of the interprocedural analysis: the workspace symbol graph and
-//! the three rules that run over it.
+//! the two rules that run over it.
 //!
 //! [`SymbolGraph`] merges every file's [`FileModel`] into one table and
 //! resolves call sites *conservatively*: a call that cannot be pinned to
@@ -11,9 +11,6 @@
 //!   the parallel executor, and every `par_map` caller). The finding is
 //!   reported at the *root* function with the full call chain; an
 //!   `allow(D009)` on the root's `fn` line suppresses it.
-//! * **D010** — counter-key discipline: keys must be string literals with a
-//!   single owning crate, documented in README's counter-key registry, and
-//!   every registry row must have a live emit site.
 //! * **D011** — lock-order discipline: no cycles in the
 //!   simultaneously-held lock graph (same-function nesting plus one level
 //!   of call propagation), and no lock held across a `par_map` boundary.
@@ -122,7 +119,7 @@ fn file_name(path: &str) -> &str {
 }
 
 /// Interprocedural rules cover production code: test/example trees are
-/// exempt (their scratch counters, locks and unwraps are not hot paths),
+/// exempt (their scratch locks and unwraps are not hot paths),
 /// but fixture corpora stay in scope so the rules are testable.
 fn in_scope(path: &str) -> bool {
     if path.contains("fixtures/") {
@@ -146,16 +143,10 @@ fn is_root(m: &FileModel, fj: usize) -> bool {
 
 /// Run all pass-2 rules and match the exported allow directives; an allow
 /// that suppressed nothing becomes a D000 finding, like any stale allow.
-pub fn analyze(
-    models: &[FileModel],
-    readme: Option<&str>,
-    full: bool,
-    allows: Vec<GraphAllow>,
-) -> Vec<Finding> {
+pub fn analyze(models: &[FileModel], allows: Vec<GraphAllow>) -> Vec<Finding> {
     let graph = SymbolGraph::build(models);
     let mut findings = Vec::new();
     check_reachability(&graph, &mut findings);
-    check_counter_keys(&graph, readme, full, &mut findings);
     check_lock_order(&graph, &mut findings);
     apply_graph_allows(findings, allows)
 }
@@ -305,142 +296,6 @@ fn check_reachability(graph: &SymbolGraph, findings: &mut Vec<Finding>) {
             }
         }
     }
-}
-
-/// One emit site of a counter key.
-struct KeySite {
-    path: String,
-    line: u32,
-    krate: String,
-}
-
-/// D010: counter-key discipline against README's counter-key registry.
-fn check_counter_keys(
-    graph: &SymbolGraph,
-    readme: Option<&str>,
-    full: bool,
-    findings: &mut Vec<Finding>,
-) {
-    let mut sites: BTreeMap<String, Vec<KeySite>> = BTreeMap::new();
-    for m in graph.models {
-        if !in_scope(&m.path) {
-            continue;
-        }
-        for f in &m.fns {
-            if f.is_test {
-                continue;
-            }
-            for c in &f.counters {
-                if c.non_literal {
-                    findings.push(Finding {
-                        rule: RuleId::D010,
-                        path: m.path.clone(),
-                        line: c.line,
-                        message: "counter key is not a string literal — the registry \
-                                  cross-check needs literal keys"
-                            .to_owned(),
-                        allowed: None,
-                    });
-                    continue;
-                }
-                for key in &c.keys {
-                    sites.entry(key.clone()).or_default().push(KeySite {
-                        path: m.path.clone(),
-                        line: c.line,
-                        krate: m.krate.clone(),
-                    });
-                }
-            }
-        }
-    }
-
-    let registry = readme.and_then(registry_rows);
-    for (key, key_sites) in &sites {
-        let first = &key_sites[0];
-        let crates: BTreeSet<&str> = key_sites.iter().map(|s| s.krate.as_str()).collect();
-        if crates.len() > 1 {
-            let list: Vec<&str> = crates.into_iter().collect();
-            findings.push(Finding {
-                rule: RuleId::D010,
-                path: first.path.clone(),
-                line: first.line,
-                message: format!(
-                    "counter key `{key}` is emitted from {} crates ({}) — a key needs a \
-                     single owning crate so merged reports stay unambiguous",
-                    list.len(),
-                    list.join(", ")
-                ),
-                allowed: None,
-            });
-        }
-        match &registry {
-            Some(rows) if rows.iter().any(|(k, _)| k == key) => {}
-            Some(_) => findings.push(Finding {
-                rule: RuleId::D010,
-                path: first.path.clone(),
-                line: first.line,
-                message: format!(
-                    "counter key `{key}` is not documented in README's counter-key registry"
-                ),
-                allowed: None,
-            }),
-            None => findings.push(Finding {
-                rule: RuleId::D010,
-                path: first.path.clone(),
-                line: first.line,
-                message: format!(
-                    "counter key `{key}` cannot be cross-checked: README.md has no \
-                     `Counter-key registry` section"
-                ),
-                allowed: None,
-            }),
-        }
-    }
-    // Dead registry rows are only decidable when the whole workspace was
-    // scanned; a partial run would call every key dead.
-    if full {
-        if let Some(rows) = &registry {
-            for (key, line) in rows {
-                if !sites.contains_key(key) {
-                    findings.push(Finding {
-                        rule: RuleId::D010,
-                        path: "README.md".to_owned(),
-                        line: *line,
-                        message: format!(
-                            "documented counter key `{key}` has no live emit site — delete \
-                             the registry row or restore the counter"
-                        ),
-                        allowed: None,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Rows of README's `Counter-key registry` table: (key, 1-based line).
-/// `None` when the section heading is absent altogether.
-fn registry_rows(readme: &str) -> Option<Vec<(String, u32)>> {
-    let mut rows = Vec::new();
-    let mut in_section = false;
-    let mut found = false;
-    for (i, line) in readme.lines().enumerate() {
-        if line.starts_with('#') {
-            in_section = line.to_ascii_lowercase().contains("counter-key registry");
-            found |= in_section;
-            continue;
-        }
-        if in_section && line.trim_start().starts_with('|') {
-            // First backtick-quoted cell is the key; the header and
-            // separator rows have none and fall through.
-            if let Some(open) = line.find('`') {
-                if let Some(len) = line[open + 1..].find('`') {
-                    rows.push((line[open + 1..open + 1 + len].to_owned(), (i + 1) as u32));
-                }
-            }
-        }
-    }
-    found.then_some(rows)
 }
 
 /// One directed lock-order edge: `from` held while `to` is acquired.
@@ -605,8 +460,8 @@ fn check_lock_order(graph: &SymbolGraph, findings: &mut Vec<Finding>) {
 }
 
 /// Deterministic text dump of the merged graph (`--graph-dump`): one block
-/// per file, every fn with its resolved call edges, sinks, locks and
-/// counter keys. Uploaded as a CI artifact for debugging rule behavior.
+/// per file, every fn with its resolved call edges, sinks and locks.
+/// Uploaded as a CI artifact for debugging rule behavior.
 pub fn render_graph(models: &[FileModel]) -> String {
     let graph = SymbolGraph::build(models);
     let mut out = String::from("# dles-lint symbol graph\n");
@@ -649,13 +504,6 @@ pub fn render_graph(models: &[FileModel]) -> String {
             for l in &f.locks {
                 out.push_str(&format!("    lock {} @{}\n", l.name, l.line));
             }
-            for c in &f.counters {
-                if c.non_literal {
-                    out.push_str(&format!("    counter <non-literal> @{}\n", c.line));
-                } else {
-                    out.push_str(&format!("    counter {} @{}\n", c.keys.join(","), c.line));
-                }
-            }
         }
     }
     out
@@ -668,7 +516,7 @@ mod tests {
 
     fn analyze_src(files: &[(&str, &str)]) -> Vec<Finding> {
         let models: Vec<FileModel> = files.iter().map(|(p, s)| model_of(p, s)).collect();
-        analyze(&models, None, false, Vec::new())
+        analyze(&models, Vec::new())
     }
 
     #[test]
@@ -733,69 +581,6 @@ mod tests {
         // direct Instant in `stamp` is D001's (per-file) — D009 adds only
         // the reachability finding at the root.
         assert_eq!(d9[0].line, 1);
-    }
-
-    #[test]
-    fn d010_undocumented_and_non_literal_keys() {
-        let models = vec![model_of(
-            "crates/core/src/stats_emit.rs",
-            "fn emit(c: &mut C, k: &str) { c.incr(\"frames\"); c.incr(k); }\n",
-        )];
-        let readme =
-            "# Counter-key registry\n\n| Key | Meaning |\n|---|---|\n| `frames` | frames |\n";
-        let findings = analyze(&models, Some(readme), true, Vec::new());
-        let d10: Vec<&Finding> = findings.iter().filter(|f| f.rule == RuleId::D010).collect();
-        assert_eq!(d10.len(), 1, "{findings:?}");
-        assert!(d10[0].message.contains("not a string literal"));
-
-        let readme_missing_key = "# Counter-key registry\n\n| `other` | x |\n";
-        let findings = analyze(&models, Some(readme_missing_key), false, Vec::new());
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == RuleId::D010 && f.message.contains("`frames` is not documented")),
-            "{findings:?}"
-        );
-    }
-
-    #[test]
-    fn d010_dead_registry_rows_only_in_full_mode() {
-        let models = vec![model_of(
-            "crates/core/src/stats_emit.rs",
-            "fn emit(c: &mut C) { c.incr(\"frames\"); }\n",
-        )];
-        let readme = "# Counter-key registry\n| `frames` | ok |\n| `ghost` | dead |\n";
-        let full = analyze(&models, Some(readme), true, Vec::new());
-        assert!(
-            full.iter()
-                .any(|f| f.rule == RuleId::D010 && f.message.contains("`ghost` has no live emit")),
-            "{full:?}"
-        );
-        let partial = analyze(&models, Some(readme), false, Vec::new());
-        assert!(
-            !partial.iter().any(|f| f.message.contains("ghost")),
-            "{partial:?}"
-        );
-    }
-
-    #[test]
-    fn d010_multi_crate_ownership() {
-        let findings = analyze_src(&[
-            (
-                "crates/core/src/a.rs",
-                "fn e(c: &mut C) { c.incr(\"frames\"); }\n",
-            ),
-            (
-                "crates/sim/src/b.rs",
-                "fn e2(c: &mut C) { c.incr(\"frames\"); }\n",
-            ),
-        ]);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.rule == RuleId::D010 && f.message.contains("2 crates (core, sim)")),
-            "{findings:?}"
-        );
     }
 
     #[test]
@@ -875,7 +660,7 @@ mod tests {
             line: 1,
             reason: "bounded retry".to_owned(),
         };
-        let findings = analyze(&models, None, false, vec![allow]);
+        let findings = analyze(&models, vec![allow]);
         let d9 = findings.iter().find(|f| f.rule == RuleId::D009).unwrap();
         assert_eq!(d9.allowed.as_deref(), Some("bounded retry"));
 
@@ -885,7 +670,7 @@ mod tests {
             line: 1,
             reason: "nothing here".to_owned(),
         };
-        let findings = analyze(&models, None, false, vec![stale]);
+        let findings = analyze(&models, vec![stale]);
         assert!(
             findings
                 .iter()
@@ -910,7 +695,7 @@ mod tests {
             line: 1,
             reason: "bounded retry".to_owned(),
         };
-        let findings = analyze(&models, None, false, vec![allow]);
+        let findings = analyze(&models, vec![allow]);
         let d9 = findings.iter().find(|f| f.rule == RuleId::D009).unwrap();
         assert_eq!(d9.line, 2, "finding still anchors on the fn line");
         assert_eq!(d9.allowed.as_deref(), Some("bounded retry"));
@@ -929,7 +714,7 @@ mod tests {
         ];
         // Two same-crate `helper` candidates → ambiguous → no edge → no
         // D009 through the call.
-        let findings = analyze(&models, None, false, Vec::new());
+        let findings = analyze(&models, Vec::new());
         assert!(
             !findings.iter().any(|f| f.rule == RuleId::D009),
             "{findings:?}"
@@ -946,7 +731,7 @@ mod tests {
             model_of("crates/sim/src/c.rs", "fn helper() { y.unwrap(); }\n"),
             model_of("crates/net/src/d.rs", "fn helper() { z.unwrap(); }\n"),
         ];
-        let findings = analyze(&models, None, false, Vec::new());
+        let findings = analyze(&models, Vec::new());
         let d9: Vec<&Finding> = findings.iter().filter(|f| f.rule == RuleId::D009).collect();
         assert_eq!(d9.len(), 1, "{findings:?}");
         assert!(
@@ -961,7 +746,7 @@ mod tests {
         let models = vec![model_of(
             "crates/core/src/sweep.rs",
             "impl E { fn run(&self) { let g = self.cache.lock(); par_map(1, 2, 3); \
-             self.emit(); } fn emit(&self) { c.incr(\"frames\"); } }\n",
+             self.emit(); } fn emit(&self) {} }\n",
         )];
         let dump = render_graph(&models);
         assert!(dump.contains("file crates/core/src/sweep.rs"), "{dump}");
@@ -971,6 +756,5 @@ mod tests {
             "{dump}"
         );
         assert!(dump.contains("lock cache @1"), "{dump}");
-        assert!(dump.contains("counter frames @1"), "{dump}");
     }
 }

@@ -8,8 +8,10 @@
 //! so this crate checks the source mechanically instead of by convention.
 //! Rules are numbered D001–D011 (plus D000 for allow-comment hygiene);
 //! `LINTS.md` at the workspace root documents each one. Per-file rules
-//! run in pass 1 ([`rules`]) and the interprocedural graph rules in pass 2
-//! ([`graph`]). Passes 3 and 4 are retired. Pass 3 (D012–D014) gave way
+//! run in pass 1 ([`rules`]) and the interprocedural graph rules D009 and
+//! D011 in pass 2 ([`graph`]). D010 (counter keys) is retired: the keys
+//! are the `dles_core::counters::CounterKey` enum, so the compiler checks
+//! them. Passes 3 and 4 are retired too. Pass 3 (D012–D014) gave way
 //! to the `dles-sim::trace` declaration, which the compiler enforces, and
 //! to golden conformance under `cargo test`. Pass 4 (D015/D016, hot-loop
 //! allocations) gave way to `tests/alloc_free_dispatch.rs`, which counts
@@ -139,14 +141,11 @@ pub fn crosscheck_workspace_docs(root: &Path, outcome: &mut ScanOutcome) {
     }
 }
 
-/// Run the pass-2 interprocedural rules (D009/D010/D011) over the merged
-/// per-file models, appending their findings to `outcome`. `full` marks a whole-workspace scan, which
-/// is the only mode where "documented counter key has no emit site" is
-/// decidable. The README read here feeds the D010 counter-key registry.
-pub fn analyze_workspace(root: &Path, outcome: &mut ScanOutcome, full: bool) {
-    let readme = fs::read_to_string(root.join("README.md")).ok();
+/// Run the pass-2 interprocedural rules (D009/D011) over the merged
+/// per-file models, appending their findings to `outcome`.
+pub fn analyze_workspace(outcome: &mut ScanOutcome) {
     let allows = std::mem::take(&mut outcome.graph_allows);
-    let findings = graph::analyze(&outcome.models, readme.as_deref(), full, allows);
+    let findings = graph::analyze(&outcome.models, allows);
     outcome.findings.extend(findings);
 }
 

@@ -55,9 +55,8 @@ fn main() {
         std::process::exit(2);
     });
 
-    let explicit = !paths.is_empty();
     let mut files: Vec<PathBuf> = Vec::new();
-    if explicit {
+    if !paths.is_empty() {
         for p in &paths {
             let abs = if p.is_absolute() {
                 p.clone()
@@ -89,9 +88,7 @@ fn main() {
 
     let mut outcome = scan_files(&root, &files);
     crosscheck_workspace_docs(&root, &mut outcome);
-    // Dead-registry-row detection needs the whole workspace in view; an
-    // explicit file list would make every undriven key look dead.
-    analyze_workspace(&root, &mut outcome, !explicit);
+    analyze_workspace(&mut outcome);
     sort_findings(&mut outcome.findings);
 
     if graph_dump {

@@ -7,8 +7,7 @@
 //! method calls), the determinism *sinks* D009 chases transitively
 //! (wall-clock reads, entropy sources, `unwrap`/`expect`), the
 //! `Mutex`/`RwLock` acquisition sites with a same-function
-//! held-simultaneously approximation for D011, and the `CounterSet`
-//! increment sites with their string-literal keys for D010.
+//! held-simultaneously approximation for D011.
 //!
 //! The model is deliberately *name-resolution-lite*: it never type-checks.
 //! [`crate::graph`] merges the per-file models into a workspace symbol
@@ -43,7 +42,6 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
     pub sinks: Vec<Sink>,
     pub locks: Vec<LockSite>,
-    pub counters: Vec<CounterSite>,
     /// Indices into `locks`: (outer, inner) acquired while outer held.
     pub lock_pairs: Vec<(usize, usize)>,
     /// (lock index, call index): calls made while the lock is held.
@@ -101,16 +99,6 @@ pub struct LockSite {
     /// `self.` stripped (`self.cache.lock()` → `cache`).
     pub name: String,
     pub line: u32,
-}
-
-/// One `CounterSet` emit site (`counters.incr("k")` / `counters.add("k", n)`).
-#[derive(Debug)]
-pub struct CounterSite {
-    /// Literal keys this site can emit (several for a `match` argument).
-    pub keys: Vec<String>,
-    pub line: u32,
-    /// `.incr(expr)` whose key is not a string literal.
-    pub non_literal: bool,
 }
 
 /// Crate name from a workspace-relative path.
@@ -284,8 +272,8 @@ fn mark_impl_types(tokens: &[Token], sig: &[usize]) -> Vec<Option<String>> {
     out
 }
 
-/// Walk a function body `(open, close)` collecting calls, sinks, locks
-/// and counter sites, with a brace-depth approximation of lock-guard
+/// Walk a function body `(open, close)` collecting calls, sinks and
+/// locks, with a brace-depth approximation of lock-guard
 /// lifetimes: a `let`-bound guard lives to the end of its block, a
 /// temporary guard to the end of its statement.
 fn scan_body(tokens: &[Token], sig: &[usize], open: usize, close: usize, item: &mut FnItem) {
@@ -357,15 +345,6 @@ fn scan_body(tokens: &[Token], sig: &[usize], open: usize, close: usize, item: &
                                 depth,
                                 is_let: stmt_is_let,
                             });
-                        }
-                        "incr" | "add" => {
-                            if let Some(site) = counter_site(tokens, sig, k, name) {
-                                item.counters.push(site);
-                            } else if name == "add" {
-                                // Non-literal `.add` is some other type's
-                                // method (EnergyMeter, BTreeMap…): a call.
-                                push_call(tokens, sig, k, true, item, &active);
-                            }
                         }
                         _ => push_call(tokens, sig, k, true, item, &active),
                     }
@@ -460,51 +439,6 @@ fn receiver_chain(tokens: &[Token], sig: &[usize], k: usize) -> String {
         segs.push("<expr>".to_owned());
     }
     segs.join(".")
-}
-
-/// Parse a `.incr(…)`/`.add(…)` call at sig index `k` into a counter
-/// site, or `None` when it is not counter-shaped (`Counter::incr()` with
-/// no key, `EnergyMeter::add(mode, …)` with a non-literal first arg).
-fn counter_site(tokens: &[Token], sig: &[usize], k: usize, method: &str) -> Option<CounterSite> {
-    let open = k + 1;
-    let close = match_delim(tokens, sig, open, '(', ')');
-    if close <= open + 1 {
-        return None; // `.incr()` — the single-Counter method, not keyed.
-    }
-    let first = &tokens[sig[open + 1]];
-    if first.kind == TokenKind::Str {
-        return Some(CounterSite {
-            keys: vec![first.text.clone()],
-            line: first.line,
-            non_literal: false,
-        });
-    }
-    if first.is_ident("match") {
-        // `counters.incr(match kind { A => "a", B => "b" })`: every arm's
-        // literal is a key this site can emit.
-        let keys: Vec<String> = ((open + 1)..close)
-            .filter_map(|i| {
-                let t = &tokens[sig[i]];
-                (t.kind == TokenKind::Str).then(|| t.text.clone())
-            })
-            .collect();
-        if !keys.is_empty() {
-            return Some(CounterSite {
-                keys,
-                line: first.line,
-                non_literal: false,
-            });
-        }
-    }
-    if method == "incr" {
-        // A keyed-counter increment whose key the registry cannot see.
-        return Some(CounterSite {
-            keys: Vec::new(),
-            line: tokens[sig[k]].line,
-            non_literal: true,
-        });
-    }
-    None
 }
 
 /// Indices of non-comment tokens (the "significant" stream the item
@@ -643,28 +577,6 @@ mod tests {
         let (lock, call) = f.calls_under_lock[0];
         assert_eq!(f.locks[lock].name, "cache");
         assert_eq!(f.calls[call].name, "helper");
-    }
-
-    #[test]
-    fn counter_sites_literal_match_and_non_literal() {
-        let src = r#"fn f(c: &mut C, k: Kind) {
-            c.incr("frames");
-            c.add("sweep_jobs", 3);
-            c.incr(match k { Kind::A => "a", Kind::B => "b" });
-            c.incr(key);
-            meter.add(mode, dur);
-            plain.incr();
-        }"#;
-        let m = model_of("crates/core/src/x.rs", src);
-        let f = &m.fns[0];
-        assert_eq!(f.counters.len(), 4);
-        assert_eq!(f.counters[0].keys, vec!["frames"]);
-        assert_eq!(f.counters[1].keys, vec!["sweep_jobs"]);
-        assert_eq!(f.counters[2].keys, vec!["a", "b"]);
-        assert!(f.counters[3].non_literal);
-        // `meter.add(mode, …)` became a call edge, `plain.incr()` nothing.
-        assert!(f.calls.iter().any(|c| c.name == "add"));
-        assert!(!f.calls.iter().any(|c| c.name == "incr"));
     }
 
     #[test]

@@ -45,22 +45,21 @@ pub enum RuleId {
     /// reachable from a hot-path root (event-dispatch files, `par_map`
     /// callers). Reported at the root with the full call chain.
     D009,
-    /// Counter-key discipline: literal, single-owning-crate keys, all
-    /// documented in README's counter-key registry, no dead registry rows.
-    D010,
     /// Lock-order discipline: no cycles in the simultaneously-held lock
     /// graph, no lock held across a `par_map` boundary.
     D011,
-    // D012–D016 are reserved for retired rules; never reuse the IDs.
-    // D012–D014 (trace schema) gave way to the `dles-sim::trace`
-    // declaration, which the compiler checks, and to golden conformance
-    // under `cargo test`. D015/D016 (hot-loop allocations) gave way to
+    // D010 and D012–D016 are reserved for retired rules; never reuse the
+    // IDs. D010 (counter keys) gave way to the `dles_core::counters::
+    // CounterKey` enum, which the compiler checks. D012–D014 (trace
+    // schema) gave way to the `dles-sim::trace` declaration, which the
+    // compiler checks, and to golden conformance under `cargo test`.
+    // D015/D016 (hot-loop allocations) gave way to
     // `tests/alloc_free_dispatch.rs`, which counts heap allocations per
     // dispatched event.
 }
 
 impl RuleId {
-    pub const ALL: [RuleId; 12] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::D000,
         RuleId::D001,
         RuleId::D002,
@@ -71,14 +70,13 @@ impl RuleId {
         RuleId::D007,
         RuleId::D008,
         RuleId::D009,
-        RuleId::D010,
         RuleId::D011,
     ];
 
     /// The interprocedural (pass-2) rules: their findings are produced by
     /// [`crate::graph`] after every file's item model has been merged, so
     /// their allow comments are matched there rather than per-file.
-    pub const GRAPH_RULES: [RuleId; 3] = [RuleId::D009, RuleId::D010, RuleId::D011];
+    pub const GRAPH_RULES: [RuleId; 2] = [RuleId::D009, RuleId::D011];
 
     pub fn as_str(self) -> &'static str {
         match self {
@@ -92,7 +90,6 @@ impl RuleId {
             RuleId::D007 => "D007",
             RuleId::D008 => "D008",
             RuleId::D009 => "D009",
-            RuleId::D010 => "D010",
             RuleId::D011 => "D011",
         }
     }
@@ -114,7 +111,6 @@ impl RuleId {
             RuleId::D007 => "no bare f64 under a unit-suffixed name; use dles-units quantities",
             RuleId::D008 => "no arithmetic mixing conflicting unit suffixes without a conversion",
             RuleId::D009 => "no wall-clock/entropy/unwrap transitively reachable from hot paths",
-            RuleId::D010 => "counter keys: literal, one owning crate, documented, no dead rows",
             RuleId::D011 => "lock order: no acquisition cycles, no lock held across par_map",
         }
     }

@@ -11,6 +11,8 @@ pub fn retired_dataflow() {} // lint: allow(D015) — D015 is retired; this allo
 
 pub fn retired_schema() {} // lint: allow(D012) — D012 is retired; this allow must not parse
 
+pub fn retired_counters() {} // lint: allow(D010) — D010 is retired; this allow must not parse
+
 pub fn user(m: &HashMap<u32, u32>) -> usize {
     m.len()
 }

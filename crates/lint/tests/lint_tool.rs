@@ -69,10 +69,9 @@ fn each_bad_fixture_fails_deny_with_its_rule() {
         // crate paths.
         ("crates/core/d007_bare_units.rs", "D007", 5),
         ("crates/core/d008_mixed_units.rs", "D008", 3),
-        // Interprocedural rules: reachable panic, counter-key
-        // discipline, lock-order cycle plus lock-across-par_map.
+        // Interprocedural rules: reachable panic, lock-order cycle plus
+        // lock-across-par_map.
         ("d009_reach.rs", "D009", 1),
-        ("d010_counters.rs", "D010", 2),
         ("d011_lock_cycle.rs", "D011", 3),
     ];
     for (name, rule, expected) in cases {
@@ -99,8 +98,8 @@ fn bad_allow_fixture_still_reports_the_unsuppressed_rule() {
         "missing hygiene message:\n{stdout}"
     );
     // An allow naming a retired rule is an unknown-rule D000, so a
-    // suppression written for D012 or D015 cannot silently linger.
-    for rule in ["D015", "D012"] {
+    // suppression written for D010, D012 or D015 cannot silently linger.
+    for rule in ["D015", "D012", "D010"] {
         assert!(
             stdout.contains(&format!("D000 allow names unknown rule `{rule}`")),
             "retired {rule} allow not reported:\n{stdout}"
@@ -132,7 +131,7 @@ fn json_output_has_findings_and_summary() {
         stdout.contains(
             "\"by_rule\": {\"D000\": 0, \"D001\": 0, \"D002\": 0, \"D003\": 4, \
              \"D004\": 0, \"D005\": 0, \"D006\": 0, \"D007\": 0, \"D008\": 0, \
-             \"D009\": 0, \"D010\": 0, \"D011\": 0}"
+             \"D009\": 0, \"D011\": 0}"
         ),
         "{stdout}"
     );
@@ -219,35 +218,6 @@ fn d009_finding_renders_the_full_call_chain() {
 fn d009_allow_on_the_root_frame_suppresses_the_chain() {
     let (out, stdout) = deny_fixture("d009_allowed.rs");
     assert!(out.status.success(), "root-frame allow ignored:\n{stdout}");
-    assert!(
-        stdout.contains("0 violation(s), 1 allowed"),
-        "summary: {stdout}"
-    );
-}
-
-#[test]
-fn d010_reports_undocumented_and_non_literal_keys() {
-    let (out, stdout) = deny_fixture("d010_counters.rs");
-    assert!(!out.status.success(), "bad counter keys passed:\n{stdout}");
-    assert!(
-        stdout.contains(
-            "counter key `fixture_unregistered_key` is not documented in \
-             README's counter-key registry"
-        ),
-        "undocumented-key message missing:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("counter key is not a string literal"),
-        "non-literal-key message missing:\n{stdout}"
-    );
-}
-
-#[test]
-fn d010_documented_match_arm_and_allowed_keys_pass() {
-    // Registry-listed keys (including per-arm keys of a `match` argument)
-    // are clean; the fixture-local key rides on an explicit allow.
-    let (out, stdout) = deny_fixture("d010_counters_ok.rs");
-    assert!(out.status.success(), "documented keys flagged:\n{stdout}");
     assert!(
         stdout.contains("0 violation(s), 1 allowed"),
         "summary: {stdout}"

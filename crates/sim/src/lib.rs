@@ -54,6 +54,6 @@ pub use engine::{Ctx, Engine, RunOutcome, World};
 pub use event::{EventEntry, EventId, EventQueue};
 pub use par::{par_map, par_map_slice, resolve_workers};
 pub use rng::SimRng;
-pub use stats::{Counter, CounterSet, DistSummary, Histogram, TimeWeighted};
+pub use stats::{CounterSet, DistSummary, Histogram, TimeWeighted};
 pub use time::SimTime;
 pub use trace::{FieldValue, JsonlRecorder, MemoryRecorder, NullRecorder, Recorder, TraceRecord};

@@ -3,27 +3,6 @@
 
 use crate::time::SimTime;
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Default, Clone)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    pub fn incr(&mut self) {
-        self.count += 1;
-    }
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-    pub fn get(&self) -> u64 {
-        self.count
-    }
-}
-
 /// A named family of monotonic counters, kept in first-increment order so
 /// reports render deterministically. Lookups are linear — the simulator
 /// maintains a few dozen counters at most, far below the point where a map
@@ -332,14 +311,6 @@ impl DistSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn counter_set_preserves_insertion_order() {

@@ -1,8 +1,9 @@
 //! The trace schema is declared once, in `dles_sim::trace`, and both of
 //! its human-facing copies are rendered from that declaration: the
 //! committed `trace_schema.json` lockfile and README's `### Trace schema`
-//! table. These tests fail when either copy drifts, and pin the offline
-//! conformance checker the golden tests use.
+//! table. Likewise README's `### Counter-key registry` table is rendered
+//! from `dles_core::CounterKey`. These tests fail when any copy drifts,
+//! and pin the offline conformance checker the golden tests use.
 //!
 //! After an intentional schema change, rewrite the lockfile with
 //!
@@ -10,10 +11,11 @@
 //! cargo test -p dles-tests --test trace_schema -- --ignored regen
 //! ```
 //!
-//! and paste the table the README test prints into README.md.
+//! and paste the table a README test prints into README.md.
 
 use std::path::PathBuf;
 
+use dles_core::CounterKey;
 use dles_sim::trace::{FieldClass, KindSpec, SCHEMA};
 use dles_tests::conformance::{check_jsonl, class_accepts, parse_jsonl_record, JsonValue};
 
@@ -64,11 +66,20 @@ fn render_readme_table(schema: &[KindSpec]) -> String {
     out
 }
 
-/// The first table under README's `### Trace schema` heading.
-fn readme_schema_table(readme: &str) -> String {
+/// README's counter-key registry form, header rows included.
+fn render_counter_registry(keys: &[CounterKey]) -> String {
+    let mut out = String::from("| Key | Meaning |\n|---|---|\n");
+    for key in keys {
+        out.push_str(&format!("| `{}` | {} |\n", key.name(), key.meaning()));
+    }
+    out
+}
+
+/// The first table under README's `heading` line.
+fn readme_table(readme: &str, heading: &str) -> String {
     readme
         .lines()
-        .skip_while(|l| l.trim() != "### Trace schema")
+        .skip_while(|l| l.trim() != heading)
         .skip_while(|l| !l.starts_with('|'))
         .take_while(|l| l.starts_with('|'))
         .map(|l| format!("{l}\n"))
@@ -113,9 +124,20 @@ fn readme_table_matches_the_declaration() {
     let readme = std::fs::read_to_string(workspace_file("README.md")).expect("README.md");
     let rendered = render_readme_table(SCHEMA);
     assert_eq!(
-        readme_schema_table(&readme),
+        readme_table(&readme, "### Trace schema"),
         rendered,
         "README's trace-schema table is stale; replace it with:\n{rendered}"
+    );
+}
+
+#[test]
+fn readme_counter_registry_matches_the_declaration() {
+    let readme = std::fs::read_to_string(workspace_file("README.md")).expect("README.md");
+    let rendered = render_counter_registry(CounterKey::ALL);
+    assert_eq!(
+        readme_table(&readme, "### Counter-key registry"),
+        rendered,
+        "README's counter-key registry is stale; replace it with:\n{rendered}"
     );
 }
 
