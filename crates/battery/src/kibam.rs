@@ -14,9 +14,26 @@
 //!   capacity can be partially recovered").
 //!
 //! Each constant-current segment is advanced with the model's *exact*
-//! closed-form solution (no ODE integration error); death inside a segment
-//! is located by bisection on the available charge, which is concave in
-//! time under constant current, so the first zero crossing is unique.
+//! closed-form solution (no ODE integration error). Death inside a segment
+//! is located by bisection on the available charge `q1(t)`; a predicted
+//! death ([`Battery::time_to_exhaustion`]) is found by Newton's method and
+//! rounded to the same microsecond the bisection would return.
+//!
+//! Both rely on `q1` crossing zero exactly once under constant current `I`.
+//! `q1` is *not* concave in general: with `r = e^{−kt}`,
+//!
+//! ```text
+//! q1′(t) = −k·q1₀·r + (q0·k·c − I)·r − I·c·(1 − r)
+//! q1″(t) = k·r·(k·(q1₀ − c·q0) + I·(1 − c))
+//! ```
+//!
+//! so `q1″` has one sign for the whole segment: positive (convex) for a
+//! fresh or rested battery, whose available well is at or above its
+//! equilibrium share `c·q0`, and negative (concave) just after a heavy
+//! burst. Since `q1′ → −I·c < 0`, a convex `q1` is strictly decreasing and
+//! a concave one rises to at most one maximum and then falls. Starting from
+//! `q1(0) > 0`, either shape crosses zero exactly once, and `q1` is
+//! decreasing from the crossing on.
 
 use crate::model::{Battery, DischargeOutcome};
 use dles_sim::SimTime;
@@ -126,8 +143,8 @@ impl KibamBattery {
     }
 
     /// First time in `(0, t]` at which the available well empties, given
-    /// `q1(t) ≤ 0`. Bisection; `q1` is concave in `t` under constant
-    /// current so the crossing is unique.
+    /// `q1(t) ≤ 0`. Bisection; the crossing is unique (see the module
+    /// docs).
     fn death_time(&self, current: MilliAmps, t: Hours) -> Hours {
         let mut lo = 0.0f64;
         let mut hi = t.get();
@@ -141,6 +158,165 @@ impl KibamBattery {
         }
         Hours::new(hi)
     }
+
+    /// `q1(t)` (the same closed form as [`Self::wells_after`]), its slope
+    /// `q1′(t)` and a bound on the rounding error of any closed-form
+    /// evaluation of `q1` in `[0, t]`, from one shared `exp_m1(−k·t)`.
+    fn q1_and_slope(&self, current: MilliAmps, t: Hours) -> (f64, f64, f64) {
+        let KibamParams { c, k, .. } = self.params;
+        let i_ma = current.get();
+        let q0 = self.q1 + self.q2;
+        let kt = k * t.get();
+        let r_minus_1 = (-kt).exp_m1();
+        let r = 1.0 + r_minus_1;
+        let drive = q0 * k * c - i_ma;
+        let q1 = self.q1 * r - drive * r_minus_1 / k - i_ma * c * (kt + r_minus_1) / k;
+        let slope = -k * self.q1 * r + drive * r + i_ma * c * r_minus_1;
+        // Every term's magnitude, including the operands of the two
+        // cancelling differences (`q0·k·c − I` and `kt − (1 − r)`). Each
+        // grows with `t` (the first is taken at its maximum, `q1₀`), so
+        // this bounds the error at every earlier time too.
+        let scale = self.q1 - (q0 * k * c + i_ma) * r_minus_1 / k + i_ma * c * (kt - r_minus_1) / k;
+        (q1, slope, 64.0 * f64::EPSILON * scale)
+    }
+
+    /// The bisection's answer, `SimTime::from_hours_f64(death_time(current,
+    /// t_upper))`, found without running it, or `None` where that cannot
+    /// be certified (the caller then bisects).
+    ///
+    /// Newton's method from `t_upper` finds the root `x` of `q1` (an
+    /// iterate that overshoots past zero restarts from `t = 0`). A bracket
+    /// `[a, b] = x ∓ δ` is certified by `q1(a) > m`, `q1(b) < −m` and
+    /// `q1₀ > m`, where the margin `m` is twice the rounding bound. As `q1`
+    /// has one crossing and decreases from it (module docs), every computed
+    /// `q1` in `(0, a]` is then positive and every one in `[b, t_upper]` is
+    /// not: the bisection's sign at every midpoint outside `[a, b]` is
+    /// known, and its result lies in `(a, b]`. If that interval rounds to
+    /// one microsecond it is the answer; otherwise the bisection is
+    /// replayed, evaluating `q1` only at midpoints inside the bracket.
+    fn newton_death_time(&self, current: MilliAmps, t_upper: f64) -> Option<SimTime> {
+        let (mut q, mut slope, err) = self.q1_and_slope(current, Hours::new(t_upper));
+        let mut x = t_upper;
+        let mut converged = false;
+        for _ in 0..60 {
+            if slope >= 0.0 {
+                return None;
+            }
+            let step = q / slope;
+            // Only a convex `q1` overshoots past zero. From `t = 0`,
+            // Newton's iterates on a convex decreasing function climb
+            // monotonically to its root.
+            x = (x - step).max(0.0);
+            // Stop on a relative step of 1e-15, or once `q1` is inside its
+            // rounding noise, where further steps cannot get closer.
+            if step.abs() <= 1e-15 * x || q.abs() <= err {
+                converged = true;
+                break;
+            }
+            (q, slope, _) = self.q1_and_slope(current, Hours::new(x));
+        }
+        let margin = 2.0 * err;
+        let delta = 2.0 * margin / -slope;
+        let (a, b) = (x - delta, x + delta);
+        let bracketed = converged
+            && a > 0.0
+            && b < t_upper
+            && self.q1 > margin
+            && self.q1_and_slope(current, Hours::new(a)).0 > margin
+            && self.q1_and_slope(current, Hours::new(b)).0 < -margin;
+        if !bracketed {
+            return None;
+        }
+        // A final `hi` past `b` would sit within `t_upper·(2^-80 + 2^-52)`
+        // (halving plus midpoint rounding) of a final `lo < b`.
+        let latest = SimTime::from_hours_f64(b + t_upper * f64::EPSILON * 8.0);
+        let earliest = SimTime::from_hours_f64(a);
+        if earliest == latest {
+            return Some(earliest);
+        }
+        let (mut lo, mut hi) = (0.0f64, t_upper);
+        for _ in 0..80 {
+            let mid = 0.5 * (lo + hi);
+            let alive = if mid < a || mid == lo {
+                true
+            } else if mid > b || mid == hi {
+                false
+            } else {
+                self.wells_after(current, Hours::new(mid)).0 > 0.0
+            };
+            if alive {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(SimTime::from_hours_f64(hi))
+    }
+
+    /// Upper end of the search for death at `current`, or `Err` with the
+    /// answer when there is nothing to search: a dead battery (zero time)
+    /// or a draw it survives for any representable horizon (`None`).
+    fn death_search_bound(&self, current_ma: MilliAmps) -> Result<f64, Option<SimTime>> {
+        if self.dead {
+            return Err(Some(SimTime::ZERO));
+        }
+        if current_ma == MilliAmps::ZERO {
+            return Err(None);
+        }
+        // Conservation gives a hard upper bound: at t = (q1+q2)/I the total
+        // stored charge is zero, so q1 ≤ 0 there. Near-zero currents push
+        // that bound beyond any representable horizon (and to ±inf/NaN in
+        // the closed form) — treat those as a battery that never dies
+        // rather than saturating SimTime and overflowing callers' event
+        // schedules.
+        const MAX_HORIZON_H: f64 = 1.0e9; // ~114 000 years ≫ any experiment
+        let mut t_upper = (self.stranded_mah() / current_ma).get();
+        if !t_upper.is_finite() || t_upper > MAX_HORIZON_H {
+            return Err(None);
+        }
+        // Nudge past the exact conservation bound, then widen geometrically
+        // if rounding still leaves q1 marginally positive there (the old
+        // fixed +1e-9 offset was not enough for multi-thousand-hour bounds).
+        t_upper = t_upper * (1.0 + 1e-12) + 1e-9;
+        let mut widen = 0;
+        while self.wells_after(current_ma, Hours::new(t_upper)).0 > 0.0 {
+            t_upper *= 2.0;
+            widen += 1;
+            if widen > 64 || t_upper > MAX_HORIZON_H {
+                return Err(None);
+            }
+        }
+        Ok(t_upper)
+    }
+
+    /// The bisection's time to exhaustion: the reference the Newton path
+    /// must match.
+    fn bisected_death_time(&self, current_ma: MilliAmps, t_upper: f64) -> SimTime {
+        SimTime::from_hours_f64(self.death_time(current_ma, Hours::new(t_upper)).get())
+    }
+
+    /// Sign of `q1″` for a draw of `current` from the present state: one
+    /// sign for the whole segment (module docs).
+    #[cfg(test)]
+    fn curvature_sign(&self, current: MilliAmps) -> f64 {
+        let KibamParams { c, k, .. } = self.params;
+        (k * (self.q1 - c * (self.q1 + self.q2)) + current.get() * (1.0 - c)).signum()
+    }
+
+    /// [`Battery::time_to_exhaustion`] by bisection alone.
+    #[cfg(test)]
+    fn reference_time_to_exhaustion(&self, current_ma: MilliAmps) -> Option<SimTime> {
+        match self.death_search_bound(current_ma) {
+            Ok(t_upper) => Some(self.bisected_death_time(current_ma, t_upper)),
+            Err(answer) => answer,
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Predictions on this thread that fell back to the bisection.
+    static FALLBACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl Battery for KibamBattery {
@@ -199,38 +375,25 @@ impl Battery for KibamBattery {
 
     fn time_to_exhaustion(&self, current_ma: MilliAmps) -> Option<SimTime> {
         assert!(current_ma >= MilliAmps::ZERO, "negative discharge current");
-        if self.dead {
-            return Some(SimTime::ZERO);
-        }
-        if current_ma == MilliAmps::ZERO {
-            return None;
-        }
-        // Conservation gives a hard upper bound: at t = (q1+q2)/I the total
-        // stored charge is zero, so q1 ≤ 0 there. Near-zero currents push
-        // that bound beyond any representable horizon (and to ±inf/NaN in
-        // the closed form) — treat those as a battery that never dies
-        // rather than saturating SimTime and overflowing callers' event
-        // schedules.
-        const MAX_HORIZON_H: f64 = 1.0e9; // ~114 000 years ≫ any experiment
-        let mut t_upper = (self.stranded_mah() / current_ma).get();
-        if !t_upper.is_finite() || t_upper > MAX_HORIZON_H {
-            return None;
-        }
-        // Nudge past the exact conservation bound, then widen geometrically
-        // if rounding still leaves q1 marginally positive there (the old
-        // fixed +1e-9 offset was not enough for multi-thousand-hour bounds).
-        t_upper = t_upper * (1.0 + 1e-12) + 1e-9;
-        let mut widen = 0;
-        while self.wells_after(current_ma, Hours::new(t_upper)).0 > 0.0 {
-            t_upper *= 2.0;
-            widen += 1;
-            if widen > 64 || t_upper > MAX_HORIZON_H {
-                return None;
+        let t_upper = match self.death_search_bound(current_ma) {
+            Ok(t_upper) => t_upper,
+            Err(answer) => return answer,
+        };
+        match self.newton_death_time(current_ma, t_upper) {
+            Some(t) => {
+                debug_assert_eq!(
+                    t,
+                    self.bisected_death_time(current_ma, t_upper),
+                    "Newton death time disagrees with the bisection: {self:?} at {current_ma:?}"
+                );
+                Some(t)
+            }
+            None => {
+                #[cfg(test)]
+                FALLBACKS.with(|n| n.set(n.get() + 1));
+                Some(self.bisected_death_time(current_ma, t_upper))
             }
         }
-        Some(SimTime::from_hours_f64(
-            self.death_time(current_ma, Hours::new(t_upper)).get(),
-        ))
     }
 }
 
@@ -507,6 +670,30 @@ mod tests {
     }
 
     #[test]
+    fn time_to_exhaustion_is_tight_in_both_curvature_regimes() {
+        let fresh = test_battery();
+        let mut burst = test_battery();
+        burst.discharge(SimTime::from_secs(1200), ma(800.0));
+        for (b, current, curvature) in [(fresh, 300.0, 1.0), (burst, 50.0, -1.0)] {
+            assert_eq!(b.curvature_sign(ma(current)), curvature, "at {current} mA");
+            let ttd = b.time_to_exhaustion(ma(current)).expect("finite");
+            let mut survivor = b.clone();
+            assert_eq!(
+                survivor.discharge(ttd - SimTime::from_micros(2), ma(current)),
+                DischargeOutcome::Survived,
+                "at {current} mA"
+            );
+            let mut victim = b.clone();
+            assert!(
+                victim
+                    .discharge(ttd + SimTime::from_micros(2), ma(current))
+                    .is_exhausted(),
+                "at {current} mA"
+            );
+        }
+    }
+
+    #[test]
     fn time_to_exhaustion_dead_battery_is_zero() {
         let mut b = test_battery();
         run_to_death(&mut b, 500.0, 60);
@@ -573,6 +760,58 @@ mod proptests {
                 }
             }
         }
+    }
+
+    /// The Newton prediction equals the 80-step bisection to the
+    /// microsecond on random batteries, histories and draws, in both
+    /// curvature regimes, and rarely needs the bisection to get there.
+    #[test]
+    fn time_to_exhaustion_matches_bisection() {
+        let mut rng = SimRng::seed_from_u64(0x7E57_D1E5);
+        let fallbacks_before = FALLBACKS.with(|n| n.get());
+        let (mut states, mut convex, mut concave) = (0u64, 0u64, 0u64);
+        let log_uniform =
+            |rng: &mut SimRng, lo: f64, hi: f64| (rng.uniform_f64(lo.ln(), hi.ln())).exp();
+        while states < 50_000 {
+            let cap = rng.uniform_f64(50.0, 3000.0);
+            let c = rng.uniform_f64(0.05, 0.95);
+            let k = rng.uniform_f64(0.01, 20.0);
+            let mut b = KibamBattery::new(cap, c, k);
+            for _ in 0..rng.uniform_u64(1, 30) {
+                for _ in 0..4 {
+                    let i = log_uniform(&mut rng, 1e-3, 3000.0);
+                    assert_eq!(
+                        b.time_to_exhaustion(ma(i)),
+                        b.reference_time_to_exhaustion(ma(i)),
+                        "{b:?} at {i} mA"
+                    );
+                    states += 1;
+                    if b.curvature_sign(ma(i)) > 0.0 {
+                        convex += 1;
+                    } else {
+                        concave += 1;
+                    }
+                }
+                let i = if rng.uniform_f64(0.0, 1.0) < 0.3 {
+                    0.0
+                } else {
+                    log_uniform(&mut rng, 1e-3, 3000.0)
+                };
+                let secs = log_uniform(&mut rng, 1.0, 36_000.0) as u64;
+                if b.discharge(SimTime::from_secs(secs), ma(i)).is_exhausted() {
+                    break;
+                }
+            }
+        }
+        let fallbacks = FALLBACKS.with(|n| n.get()) - fallbacks_before;
+        assert!(
+            convex > states / 20 && concave > states / 20,
+            "convex {convex}, concave {concave}"
+        );
+        assert!(
+            fallbacks * 100 < states,
+            "{fallbacks} of {states} predictions fell back"
+        );
     }
 
     /// Lifetime at constant current is antitone in the current.
